@@ -32,7 +32,7 @@ import numpy as np
 from .distributions import Distribution, DistributionError
 from .exprfn import TestFunction
 from .kernels import SteinKernel, SmoothedSpec, smoothed_kernel
-from .numerics import Interval, NumericsError, rng_stream
+from .numerics import NonFiniteError, NumericsError, rng_stream
 from .orderings import check_cx, check_nbue_nwue
 from .transforms import ZeroBiasSpec, zero_bias
 
@@ -113,20 +113,24 @@ class BoundReport:
 
 # ------------------------------------------------------------ shared helpers
 
-def mc_variance(sample_fn, g, seed: int, n_mc: int, stream_id: int = 0):
-    """(variance, se, ci99) of g(W) from n_mc draws.
+def _variance_se(x):
+    """(sample variance, its standard error) of the values x.
 
     The standard error comes from the asymptotic variance of the sample
     variance, (m4 - (n-3)/(n-1) s^4)/n, with m4 the fourth central moment.
     """
-    rng = rng_stream(seed, stream_id)
-    x = np.asarray(g(sample_fn(rng, n_mc)), dtype=float)
     n = len(x)
     s2 = float(np.var(x, ddof=1))
     c = x - x.mean()
     m4 = float(np.mean(c**4))
     var_of_var = max(m4 - (n - 3) / (n - 1) * s2 * s2, 0.0) / n
-    se = math.sqrt(var_of_var)
+    return s2, math.sqrt(var_of_var)
+
+
+def mc_variance(sample_fn, g, seed: int, n_mc: int, stream_id: int = 0):
+    """(variance, se, ci99) of g(W) from n_mc draws."""
+    rng = rng_stream(seed, stream_id)
+    s2, se = _variance_se(np.asarray(g(sample_fn(rng, n_mc)), dtype=float))
     return s2, se, CI99_Z * se
 
 
@@ -243,11 +247,12 @@ def bound_generic(c: SteinCoupling, g: TestFunction,
             num_terms.std(ddof=1) / math.sqrt(n_mc))
         diagnostics["var_gamma"] = var_gamma
 
-    gx = np.asarray(g(w), dtype=float)
-    s2 = float(np.var(gx, ddof=1))
-    cgx = gx - gx.mean()
-    m4 = float(np.mean(cgx**4))
-    se = math.sqrt(max(m4 - (n_mc - 3) / (n_mc - 1) * s2 * s2, 0.0) / n_mc)
+    s2, se = _variance_se(np.asarray(g(w), dtype=float))
+    reported = [s2, se, *diagnostics.values()] + [
+        v for v in (lower, upper) if v is not None]
+    if not np.all(np.isfinite(reported)):
+        raise NonFiniteError("generic bound: g or the coupling gave a "
+                             "non-finite value on the Monte-Carlo draws")
     return BoundReport(
         method="generic", lower=lower, upper=upper,
         mc_variance=s2, mc_se=se, mc_ci99=CI99_Z * se,
@@ -439,11 +444,7 @@ def bound_equilibrium(d: Distribution, g: TestFunction, branch: str,
         meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
               "route": route, "lambda": lam, "g": g.source})
     _attach_mc(report, d, g, seed, n_mc)
-    if not valid:
-        side = "upper" if branch == "a" else "lower"
-        report.diagnostics[f"withheld_{side}"] = getattr(report, side)
-        setattr(report, side, None)
-    return report
+    return _withhold(report, "upper" if branch == "a" else "lower")
 
 
 # --------------------------------------------------------------- smoothed
@@ -489,8 +490,4 @@ def bound_smoothed(s: SmoothedSpec, g: TestFunction, claim: str,
               "route": "quadrature", "epsilon": s.epsilon, "g": g.source})
     # mc_variance targets the *unsmoothed* Var[g(Y)]
     _attach_mc(report, base, g, seed, n_mc)
-    side = "upper" if claim == "i" else "lower"
-    if not report.hypotheses_hold:
-        report.diagnostics[f"withheld_{side}"] = getattr(report, side)
-        setattr(report, side, None)
-    return report
+    return _withhold(report, "upper" if claim == "i" else "lower")

@@ -38,7 +38,7 @@ from .distributions import DistributionError, parse_dist
 from .exprfn import ExprError, make_test_function, named_test_function
 from .kernels import (KernelError, UnsupportedFamily, integral_kernel,
                       pearson_kernel, smooth, smoothed_kernel)
-from .numerics import Interval, NumericsError
+from .numerics import NonFiniteError, NumericsError
 from .orderings import check_counting_condition, check_nbue_nwue
 from .transforms import NotCentered, TransformError, zero_bias
 
@@ -67,6 +67,22 @@ METHOD_SIDES = {
 
 class CLIError(Exception):
     """Invalid input detected past argparse; mapped to exit code 2."""
+
+
+def _checked(kind, ok, what):
+    """An argparse type: kind(text), rejected at parse time (exit 2)
+    unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    return parse
+
+
+N_MC = _checked(int, lambda n: n >= 2, "an integer >= 2")
+REL_TOL = _checked(float, lambda t: 0.0 < t <= 1e-2, "in (0, 1e-2]")
+GRID_POINTS = _checked(int, lambda n: n >= 16, "an integer >= 16")
 
 
 def load_schema() -> dict:
@@ -139,13 +155,16 @@ def _bound_csv(report: dict, seed: int) -> str:
 
 def _emit(payload: dict, args, summary_lines, csv_text: str | None = None):
     validate_report(payload)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"report holds a non-finite number: {exc}") from None
     for line in summary_lines:
         print(line)
     fmt = getattr(args, "format", "json")
     if fmt == "csv" and csv_text is None:
         raise CLIError("--format csv is only available for bound reports")
-    rendered = (csv_text if fmt == "csv"
-                else json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    rendered = csv_text if fmt == "csv" else text + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)
@@ -358,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation points")
     k.add_argument("--grid", type=int, default=9,
                    help="grid size when --x is absent")
-    k.add_argument("--grid-points", type=int, default=512,
-                   help="cache size for the integral route (0 = exact)")
+    k.add_argument("--grid-points", type=GRID_POINTS, default=512,
+                   help="nodes of the tail-moment table behind the integral "
+                        "route (at least 16)")
     k.add_argument("--epsilon", type=float, default=None,
                    help="noise scale for the smoothed route")
     common(k)
@@ -374,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise scale for the smoothed methods")
     b.add_argument("--gap", type=float, default=None,
                    help="E|W* - W| for zero-bias-remainder")
-    b.add_argument("--n-mc", type=int, default=10**6)
-    b.add_argument("--rel-tol", type=float, default=1e-6)
+    b.add_argument("--n-mc", type=N_MC, default=10**6)
+    b.add_argument("--rel-tol", type=REL_TOL, default=1e-6)
     common(b)
     b.set_defaults(fn=cmd_bound)
 
@@ -393,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sum-abs", type=float, default=None, dest="sum_abs")
     q.add_argument("--g", default=None)
     q.add_argument("--g-named", default=None)
-    q.add_argument("--n-mc", type=int, default=10**6)
+    q.add_argument("--n-mc", type=N_MC, default=10**6)
     common(q)
     q.set_defaults(fn=cmd_posterior)
 
@@ -404,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--rho", type=float, default=None)
     v.add_argument("--rate", type=float, default=None)
     v.add_argument("--g", default=None)
-    v.add_argument("--n-mc", type=int, default=None, dest="n_mc")
+    v.add_argument("--n-mc", type=N_MC, default=None, dest="n_mc")
     common(v)
     v.set_defaults(fn=cmd_verify)
     return p

@@ -11,7 +11,6 @@ parse_dist.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy import stats as _stats
@@ -470,22 +469,6 @@ class SamplerSum(Distribution):
             total = total + p.sample(rng, size)
         return total
 
-    def pairwise_density(self, x, rel_tol=1e-8):
-        """Numeric density by sequential convolution; all parts need densities."""
-        if not all(p.has_density for p in self.parts):
-            raise DistributionError("convolution density needs densities for all parts")
-        if len(self.parts) == 1:
-            return self.parts[0].density(x)
-        if len(self.parts) != 2:
-            raise DistributionError("numeric convolution density limited to 2 parts")
-        a, b = self.parts
-
-        def one(t):
-            iv = a.support
-            return integrate(lambda y: a.density(y) * b.density(t - y), iv,
-                             rel_tol=rel_tol).value
-        return np.vectorize(one)(x)
-
 
 def sum_of_independents(parts):
     return SamplerSum(parts)
@@ -701,6 +684,156 @@ def centered(d):
     if abs(mu) <= 1e-12:
         return d
     return Affine(d, shift=-mu, scale=1.0)
+
+
+# -------------------------------------------------------- tail-moment table
+
+GL_X, GL_W = np.polynomial.legendre.leggauss(16)
+# Edges of the fixed panels beyond a point, in units of the panel scale:
+# widths grow by 1.3 per panel, out to ~4e14 scales.
+TAIL_EDGES = 1.3 ** np.arange(129) - 1.0
+TAIL_CHUNK = 16  # points per vectorised density call beyond a table
+# Probability levels of the quantile anchors of a table's nodes: half
+# decades in each tail, down to 1e-12, and steps of 0.04 in the bulk.
+_TAIL_LEVELS = np.logspace(-12, -2, 21)
+PROB_LEVELS = np.concatenate([_TAIL_LEVELS, np.linspace(0.05, 0.95, 23),
+                              1.0 - _TAIL_LEVELS[::-1]])
+
+
+def _finite(p):
+    """A density's values with an infinite value at a support edge (hit by
+    a node, or by a Gauss-Legendre point that rounds onto it) set to 0."""
+    p = np.asarray(p, dtype=float)
+    return np.where(np.isfinite(p), p, 0.0)
+
+
+def _weighted_moments(y, pw):
+    """sum_j y_j^k pw_j over the last axis, for k = 0, 1, 2."""
+    return np.stack([pw.sum(-1), (pw * y).sum(-1), (pw * y * y).sum(-1)], -1)
+
+
+def tail_panels(d: Distribution, x, side: int, scale: float):
+    """int y^k p(y) dy over [x, inf) (side = +1) or (-inf, x] (side = -1),
+    k = 0, 1, 2, as an (len(x), 3) array.
+
+    Each tail is cut into TAIL_EDGES * scale panels summed by 16-point
+    Gauss-Legendre: narrow next to x, where a light tail decays, and
+    geometrically wider outward, which is the y = c/t substitution on
+    fixed panels for a power-law tail."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    edges = scale * TAIL_EDGES
+    mids, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    offsets = side * (mids[:, None] + half[:, None] * GL_X)
+    weights = half[:, None] * GL_W
+    out = np.empty((len(x), 3))
+    for k in range(0, len(x), TAIL_CHUNK):
+        y = x[k:k + TAIL_CHUNK, None, None] + offsets
+        out[k:k + TAIL_CHUNK] = _weighted_moments(
+            y.reshape(len(y), -1), (d.density(y) * weights).reshape(len(y), -1))
+    return out
+
+
+def _composite_grid(d: Distribution, lo: float, hi: float, n: int):
+    """About n nodes over [lo, hi], graded by the quantiles of d.
+
+    Anchors sit at the quantiles of PROB_LEVELS inside [lo, hi], and each
+    gap between anchors is cut into equal steps, so that the spacing
+    follows the local scale of the law in the bulk and in the tails alike.
+    From the outermost anchors the steps widen geometrically out to lo and
+    hi, which may lie far beyond them; 48 geometric steps refine toward
+    each finite support edge, where a density can rise steeply from zero.
+    """
+    try:
+        q = np.array([d.quantile(p) for p in PROB_LEVELS])
+    except DistributionError:
+        q = np.empty(0)
+    inner = np.unique(q[(q > lo) & (q < hi)])
+    if len(inner) < 2:
+        inner = np.array([lo, hi])
+    gaps = np.diff(inner)
+    m = max(n // len(gaps), 1)
+    pieces = [[lo, hi], (inner[:-1, None]
+                         + gaps[:, None] * np.arange(m) / m).ravel()]
+    for end, anchor, step in ((lo, inner[0], -gaps[0] / m),
+                              (hi, inner[-1], gaps[-1] / m)):
+        if abs(end - anchor) > abs(step):
+            pieces.append(anchor + step * np.geomspace(
+                1.0, (end - anchor) / step, max(n // 8, 32)))
+    span = inner[-1] - inner[0]
+    for edge, sgn in ((d.support.lo, 1.0), (d.support.hi, -1.0)):
+        if math.isfinite(edge):
+            pieces.append(edge + sgn * span * np.geomspace(1e-9, 0.05, 48))
+    return np.unique(np.clip(np.concatenate(pieces), lo, hi))
+
+
+class TailMoments:
+    """The tail moments of a law's density, tabulated once, read anywhere.
+
+    Read at points x, the table returns a (6,) + x.shape array: the lower
+    moments L_k(x) = int_lo^x y^k p(y) dy, then the upper moments
+    U_k(x) = int_x^hi y^k p(y) dy, for k = 0, 1, 2 (lo, hi: the support).
+
+    The nodes are a composite grid with about n points over [lo_t, hi_t],
+    which should reach each finite support edge.  Each panel between nodes
+    is summed by 16-point Gauss-Legendre; L is accumulated from the bottom
+    and U from the top, so each is accurate in relative terms on its own
+    short side.  Where [lo_t, hi_t] stops short of the support, the tail
+    beyond it comes from tail_panels.  Between nodes a read is the cubic
+    Hermite interpolant whose slopes are the exact derivatives +-x^k p(x);
+    beyond the nodes it is tail_panels at x.
+    """
+
+    def __init__(self, d: Distribution, lo_t: float, hi_t: float, n: int):
+        self.d = d
+        self.scale = (hi_t - lo_t) / 64.0
+        xs = _composite_grid(d, lo_t, hi_t, n)
+        mids, half = 0.5 * (xs[1:] + xs[:-1]), 0.5 * np.diff(xs)
+        y = mids[:, None] + half[:, None] * GL_X
+        seg = _weighted_moments(y, _finite(d.density(y)) * half[:, None] * GL_W)
+        below, above = np.zeros(3), np.zeros(3)
+        if lo_t > d.support.lo:
+            below = tail_panels(d, xs[0], -1, self.scale)[0]
+        if hi_t < d.support.hi:
+            above = tail_panels(d, xs[-1], 1, self.scale)[0]
+        zero = np.zeros((1, 3))
+        lower = below + np.concatenate([zero, np.cumsum(seg, axis=0)])
+        upper = above + np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], zero])
+        self.total = lower[-1] + above
+        self.xs = xs
+        self.p = _finite(d.density(xs))
+        slope = self.p[:, None] * xs[:, None] ** np.arange(3)
+        vals = np.concatenate([lower, upper], axis=1)
+        slopes = np.concatenate([slope, -slope], axis=1)
+        m0, m1 = slopes[:-1], slopes[1:]
+        h = np.diff(xs)[:, None]
+        secant = np.diff(vals, axis=0) / h
+        # cubic coefficients in (x - x_i), laid out (power, channel, panel)
+        # so that scalar and array reads index them alike
+        self._coef = np.stack([vals[:-1], m0, (3 * secant - 2 * m0 - m1) / h,
+                               (m0 + m1 - 2 * secant) / h ** 2]).transpose(0, 2, 1)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        xs = self.xs
+        i = np.searchsorted(xs[1:-1], x, side="right")  # the panel of x
+        t = x - xs[i]
+        c = self._coef[:, :, i]
+        out = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+        if x.size and not (xs[0] <= x.min() and x.max() <= xs[-1]):
+            out = out.reshape(6, -1)
+            for side, beyond in ((-1, x.ravel() < xs[0]), (1, x.ravel() > xs[-1])):
+                if beyond.any():
+                    out[:, beyond] = self._beyond(x.ravel()[beyond], side)
+            out = out.reshape((6,) + x.shape)
+        return out
+
+    def _beyond(self, x, side):
+        """The six moments at points x outside the nodes on one side."""
+        d, far = self.d, np.zeros((len(x), 3))
+        if self.xs[0] > d.support.lo if side < 0 else self.xs[-1] < d.support.hi:
+            far = tail_panels(d, x, side, self.scale)
+        near = self.total - far
+        return np.concatenate([far, near] if side < 0 else [near, far], 1).T
 
 
 # -------------------------------------------------------------- construction

@@ -4,8 +4,7 @@ Three construction routes:
 
 * pearson_kernel  - closed quadratic forms for the classical families;
 * integral_kernel - tau(x) = (1/p(x)) * integral_x^inf (y - mu) p(y) dy
-                    by adaptive quadrature, optionally cached on a
-                    Chebyshev grid;
+                    read from the law's tail-moment table;
 * smoothed_kernel - the kernel of Y + Z for Gaussian noise Z, usable when
                     Y itself has no density.
 
@@ -19,12 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 from scipy.stats import norm as _norm
 
-from .distributions import (Distribution, DiscreteDistribution, Gaussian,
-                            DistributionError)
-from .numerics import Interval, chebyshev_grid, integrate
+from .distributions import Distribution, TailMoments
+from .numerics import Interval, integrate
 
 DENSITY_FLOOR = 1e-300
 
@@ -49,13 +46,15 @@ class SteinKernel:
     provenance: str  # pearson | integral | smoothed
     base: Distribution
     pearson_coeffs: tuple | None = None  # (delta1, delta2, delta3, mu)
+    breaks: tuple | None = None  # points where the kernel's read changes form
 
     def __call__(self, x):
         return self.eval(x)
 
     def expected_value(self, rel_tol: float = 1e-9) -> float:
         """E[tau(W)]; equals Var[W] when the kernel is exact."""
-        return self.base.expect(lambda x: self.eval(x), rel_tol=rel_tol)
+        return self.base.expect(lambda x: self.eval(x), rel_tol=rel_tol,
+                                points=self.breaks)
 
 
 # ------------------------------------------------------------- Pearson route
@@ -108,72 +107,41 @@ def pearson_kernel(d: Distribution) -> SteinKernel:
 
 # ------------------------------------------------------------ integral route
 
-def _tail_moment(d: Distribution, x: float, mu: float, rel_tol: float):
-    """integral_x^hi (y - mu) p(y) dy, via whichever side is shorter."""
-    sup = d.support
-    use_lower = d.has_cdf and float(d.cdf(x)) < 0.5
-    if use_lower:
-        res = integrate(lambda y: (y - mu) * d.density(y),
-                        Interval(sup.lo, x), rel_tol=rel_tol, abs_tol=1e-14)
-        return -res.value
-    res = integrate(lambda y: (y - mu) * d.density(y),
-                    Interval(x, sup.hi), rel_tol=rel_tol, abs_tol=1e-14)
-    return res.value
+def integral_kernel(d: Distribution, grid_points: int = 512) -> SteinKernel:
+    """Stein kernel tau(x) = (1/p(x)) int_x^hi (y - mu) p(y) dy.
 
-
-def integral_kernel(d: Distribution, grid_points: int = 512,
-                    rel_tol: float = 1e-9) -> SteinKernel:
-    """Stein kernel by quadrature of the tail integral divided by p(x).
-
-    With grid_points > 0 the kernel is precomputed at Chebyshev-spaced
-    points over the central quantile range and evaluated by barycentric
-    interpolation (spectrally accurate for smooth kernels, exact for the
-    quadratic Pearson ones); values are clamped at the grid edges.
-    Pass grid_points=0 for direct per-point quadrature.
+    The tail moment is read from a TailMoments table with about
+    grid_points nodes over the central quantile range [q(1e-9),
+    q(1 - 1e-9)] (tail panels beyond it).  Below the median it is taken
+    from the lower side, mu L0(x) - L1(x), where the upper side would
+    cancel.  Where the density has underflowed, tau is the value at the
+    nearest node where it has not; negative rounding is clipped to 0.
     """
     if not d.has_density:
         raise KernelError(f"{d.family}: integral kernel needs a density")
     mu = d.mean()
+    eff = d.effective_interval(1e-9)
+    table = TailMoments(d, eff.lo, eff.hi, grid_points)
 
-    def tau_exact_scalar(x):
-        p = float(d.density(x))
-        if p < DENSITY_FLOOR:
-            raise DensityUnderflow(f"density underflow at x={x}")
-        return _tail_moment(d, float(x), mu, rel_tol) / p
+    def moment(x):
+        l0, l1, _, u0, u1, _ = table(x)
+        return np.where(l0 < u0, mu * l0 - l1, u1 - mu * u0)
 
-    if grid_points <= 0:
-        return SteinKernel(eval=np.vectorize(tau_exact_scalar, otypes=[float]),
-                           provenance="integral", base=d)
-
-    # Grid over the central quantile range on both sides: kernels are used
-    # inside density-weighted expectations, where the clipped tails carry
-    # negligible mass, and densities may underflow at finite support edges.
-    lo = d.quantile(1e-9)
-    hi = d.quantile(1.0 - 1e-9)
-    nodes = chebyshev_grid(lo, hi, grid_points)
-    values = np.array([tau_exact_scalar(x) for x in nodes])
-    interp = BarycentricInterpolator(nodes, values)
-
-    def tau_outside(x):
-        # Exact evaluation beyond the cached range; clamp to the nearest
-        # cached value only when the density has underflowed there.
-        try:
-            return tau_exact_scalar(x)
-        except DensityUnderflow:
-            return values[0] if x < nodes[0] else values[-1]
+    ok = table.p >= DENSITY_FLOOR
+    nodes = table.xs[ok]
+    node_tau = moment(nodes) / table.p[ok]
 
     def tau(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (x >= nodes[0]) & (x <= nodes[-1])
-        out = np.empty_like(x)
-        if inside.any():
-            out[inside] = np.maximum(interp(x[inside]), 0.0)
-        for i in np.nonzero(~inside)[0]:
-            out[i] = max(tau_outside(float(x[i])), 0.0)
-        return float(out[0]) if scalar else out
+        x_arr = np.asarray(x, dtype=float)
+        p = np.asarray(d.density(x_arr), dtype=float)
+        safe = p >= DENSITY_FLOOR
+        ratio = moment(x_arr) / np.where(safe, p, 1.0)
+        out = np.maximum(np.where(safe, ratio, np.interp(x_arr, nodes, node_tau)),
+                         0.0)
+        return out if np.ndim(x) else float(out)
 
-    return SteinKernel(eval=tau, provenance="integral", base=d)
+    return SteinKernel(eval=tau, provenance="integral", base=d,
+                       breaks=(eff.lo, eff.hi))
 
 
 # ------------------------------------------------------------ smoothed route

@@ -19,9 +19,7 @@ from scipy import optimize as _optimize
 # (integrate raises IntegrationError when the estimate is not good enough).
 warnings.filterwarnings("ignore", category=_integrate.IntegrationWarning)
 
-# Default tolerances: tight for kernel identities, looser for bound values.
-REL_TOL_IDENTITY = 1e-9
-REL_TOL_BOUND = 1e-6
+REL_TOL_BOUND = 1e-6  # default tolerance for bound values
 ABS_FLOOR = 1e-12
 MAX_EVALS = 10**6
 
@@ -69,7 +67,6 @@ class Interval:
 
 
 REAL_LINE = Interval(-math.inf, math.inf)
-POSITIVE_HALF_LINE = Interval(0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -190,13 +187,6 @@ def _bracket(F, p, iv: Interval):
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Deterministic stream; distinct stream_ids are independent."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream_id)]))
-
-
-def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """n Chebyshev points on [lo, hi], sorted ascending, endpoints excluded."""
-    k = np.arange(n)
-    nodes = np.cos((2 * k + 1) * np.pi / (2 * n))
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
 
 
 def linear_grid(lo: float, hi: float, n: int) -> np.ndarray:

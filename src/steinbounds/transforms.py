@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .distributions import (Affine, DiscreteDistribution, Distribution,
-                            DistributionError, Exponential, RandomSum,
-                            Uniform)
+from .distributions import (Distribution, DistributionError, Exponential,
+                            RandomSum, TailMoments, Uniform, tail_panels)
 from .numerics import (Interval, IntegrationError, QuadResult, integrate,
                        integrate_soft, linear_grid)
 
@@ -29,10 +27,14 @@ class NotCentered(TransformError):
     """Zero-bias input must have mean zero (within 1e-9)."""
 
 
+STOP_LOSS_NODES = 2048  # nodes of the tail-moment table behind stop_loss
+
+
 # ------------------------------------------------------------------ helpers
 
-def stop_loss(d: Distribution, t, rel_tol: float = 1e-10):
-    """E[(W - t)_+], with closed forms where cheap and exact routes otherwise."""
+def stop_loss(d: Distribution, t):
+    """E[(W - t)_+]: closed forms where cheap, else the atoms' sum plus
+    U1(t) - t U0(t) from a tail-moment table of the continuous part."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if isinstance(d, Exponential):
         lam = d.params[0]
@@ -54,22 +56,15 @@ def stop_loss(d: Distribution, t, rel_tol: float = 1e-10):
         out = d._stop_loss(t_arr)
         return out if np.ndim(t) else float(out[0])
     vals, probs = d.atoms()
-    if len(vals) and d.continuous_weight <= 1e-12:
-        out = np.sum(probs[None, :] * np.maximum(vals[None, :] - t_arr[:, None], 0.0),
-                     axis=1)
-        return out if np.ndim(t) else float(out[0])
-    if d.has_density:
-        def one(tt):
-            if tt >= d.support.hi:
-                return 0.0
-            lo = max(tt, d.support.lo)
-            base = integrate(lambda y: (y - tt) * d.density(y),
-                             Interval(lo, d.support.hi), rel_tol=rel_tol,
-                             abs_tol=1e-14).value
-            return base + sum(p * max(v - tt, 0.0) for v, p in zip(vals, probs))
-        out = np.array([one(tt) for tt in t_arr])
-        return out if np.ndim(t) else float(out[0])
-    raise DistributionError(f"{d.family}: stop-loss needs atoms or a density")
+    out = np.sum(probs[None, :] * np.maximum(vals[None, :] - t_arr[:, None], 0.0),
+                 axis=1)
+    if d.continuous_weight > 1e-12:
+        if not d.has_density:
+            raise DistributionError(f"{d.family}: stop-loss needs atoms or a density")
+        eff = d.effective_interval(1e-9)
+        _, _, _, u0, u1, _ = TailMoments(d, eff.lo, eff.hi, STOP_LOSS_NODES)(t_arr)
+        out = out + u1 - t_arr * u0
+    return out if np.ndim(t) else float(out[0])
 
 
 class _GridInverseSampler:
@@ -135,163 +130,49 @@ class ZeroBiasDistribution(Distribution):
         self._seg_cum /= self._seg_cum[-1]
 
     def _init_continuous(self, cdf_grid):
+        """Tail-moment table of the base on about cdf_grid nodes over the
+        sampler range, and the cdf at its nodes for sampling."""
         base = self.base
         self.support = Interval(base.support.lo, base.support.hi)
-        g_lo, g_hi = self._sampler_range()
-        xs = self._composite_grid(g_lo, g_hi, cdf_grid)
-        # Cumulative per-segment Gauss-Legendre for M = int y p and
-        # S = int y^2 p, then the exact cdf identity
-        #   F*(w) = (w T(w) + E[W^2 1(W <= w)]) / sigma^2.
-        mids = 0.5 * (xs[1:] + xs[:-1])
-        half = 0.5 * np.diff(xs)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-        y = mids[:, None] + half[:, None] * gl_x[None, :]
-        py = base.density(y)
-        seg_m = half * np.sum(gl_w[None, :] * y * py, axis=1)
-        seg_s = half * np.sum(gl_w[None, :] * y * y * py, axis=1)
-        tail_m = self._upper_tail(g_hi, 1)
-        tail_s = self._upper_tail(g_hi, 2)
-        t_vals = tail_m + np.concatenate([np.cumsum(seg_m[::-1])[::-1], [0.0]])
-        v2_upper = tail_s + np.concatenate([np.cumsum(seg_s[::-1])[::-1], [0.0]])
-        cdf = (xs * t_vals + (self.sigma2 - v2_upper)) / self.sigma2
-        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+        self._moments = TailMoments(base, *self._sampler_range(), cdf_grid)
+        xs = self._moments.xs
         self._cdf_xs = xs
-        self._cdf_vals = cdf
-        self._sampler = _GridInverseSampler(xs, cdf)
-        # Fast density for inner-loop expectations: interpolated tail moment
-        # (density() itself stays exact via per-point quadrature).
-        self._t_interp = PchipInterpolator(xs, np.maximum(t_vals, 0.0),
-                                           extrapolate=False)
-
-    def _density_fast(self, x):
-        vals = self._t_interp(np.asarray(x, dtype=float))
-        return np.maximum(np.nan_to_num(vals, nan=0.0), 0.0) / self.sigma2
+        self._cdf_vals = np.maximum.accumulate(self._cdf(xs))
+        self._sampler = _GridInverseSampler(xs, self._cdf_vals)
 
     def _sampler_range(self):
-        """Range covering all but ~1e-9 of the zero-bias mass."""
+        """Range covering all but ~1e-9 of the zero-bias mass.
+
+        Each infinite side of the base's effective interval moves out by 0,
+        1, 2, 4, ... spans (at most 2^40) until the zero-bias mass beyond
+        it, E[W (W - w); W beyond w] / sigma^2, is at most 1e-9."""
         base = self.base
         eff = base.effective_interval(1e-9)
-        g_lo, g_hi = eff.lo, eff.hi
-        span = max(g_hi - g_lo, 1.0)
-        if not base.support.hi_finite:
-            while 1.0 - self._cdf_scalar(g_hi) > 1e-9 and g_hi < eff.hi + 1e12 * span:
-                g_hi = eff.hi + 2.0 * (g_hi - eff.hi) if g_hi > eff.hi else eff.hi + span
-        if not base.support.lo_finite:
-            while self._cdf_scalar(g_lo) > 1e-9 and g_lo > eff.lo - 1e12 * span:
-                g_lo = eff.lo + 2.0 * (g_lo - eff.lo) if g_lo < eff.lo else eff.lo - span
-        return g_lo, g_hi
+        reach = max(eff.hi - eff.lo, 1.0) * np.concatenate(
+            [[0.0], 2.0 ** np.arange(41)])
+        ends = [eff.lo, eff.hi]
+        for k, side in enumerate((-1, 1)):
+            if math.isinf((base.support.lo, base.support.hi)[k]):
+                w = ends[k] + side * reach
+                m = tail_panels(base, w, side, (eff.hi - eff.lo) / 64.0)
+                small = (m[:, 2] - w * m[:, 1]) / self.sigma2 <= 1e-9
+                small[-1] = True
+                ends[k] = w[np.argmax(small)]
+        return ends
 
-    def _composite_grid(self, g_lo, g_hi, n):
-        """Quantile-graded bulk (dense where the base carries mass, with
-        refinement toward the endpoints), geometrically stretched sections
-        out to the (possibly far) sampler endpoints."""
-        base = self.base
-        eff = base.effective_interval(1e-6)
-        lo_c = max(min(eff.lo, g_hi), g_lo)
-        hi_c = min(max(eff.hi, g_lo), g_hi)
-        if not lo_c < hi_c:
-            lo_c, hi_c = g_lo, g_hi
-        n_bulk = max(n // 2, 64)
-        qs = np.linspace(1e-7, 1.0 - 1e-7, n_bulk)
-        try:
-            bulkq = np.array([base.quantile(q) for q in qs])
-        except DistributionError:
-            bulkq = np.empty(0)
-        pieces = [np.linspace(lo_c, hi_c, max(n // 8, 64)),
-                  bulkq[(bulkq >= lo_c) & (bulkq <= hi_c)]]
-        span = hi_c - lo_c
-        # refinement toward finite support edges, where the density of the
-        # transformed law can rise steeply from zero
-        for edge, sgn in ((g_lo, 1.0), (g_hi, -1.0)):
-            if math.isfinite(edge) and abs(edge - (lo_c if sgn > 0 else hi_c)) < span:
-                pieces.append(edge + sgn * span * np.geomspace(1e-9, 0.05, 48))
-        step = span / n_bulk
-        n_tail = max(n // 4, 64)
-        if g_hi > hi_c + step:
-            pieces.append(hi_c + step * np.geomspace(1.0, (g_hi - hi_c) / step,
-                                                     n_tail))
-        if g_lo < lo_c - step:
-            pieces.append(lo_c - step * np.geomspace(1.0, (lo_c - g_lo) / step,
-                                                     n_tail))
-        grid = np.unique(np.concatenate(pieces))
-        return np.clip(grid, g_lo, g_hi)
+    def _tail(self, w):
+        """T(w) = int_w^hi y p(y) dy, read from the side of w that carries
+        less base mass: the base is centered, so T(w) = -L1(w), and on the
+        long side the moments nearly cancel."""
+        l0, l1, _, u0, u1, _ = self._moments(w)
+        return np.maximum(np.where(l0 < u0, -l1, u1), 0.0)
 
-    def _upper_tail(self, w, power, abs_tol=1e-13):
-        """integral_w^hi y^power p(y) dy.
-
-        For an infinite upper limit the tail is computed under the
-        substitution y = c/t, which keeps the quadrature accurate far out
-        in the tail where the default infinite-interval transformation
-        loses all significant mass."""
-        base = self.base
-        if w >= base.support.hi:
-            return 0.0
-        if base.support.hi_finite:
-            return integrate(lambda y: y ** power * base.density(y),
-                             Interval(w, base.support.hi), rel_tol=1e-9,
-                             abs_tol=abs_tol).value
-        c = max(w, 1.0)
-        total = 0.0
-        if w < c:
-            total += integrate(lambda y: y ** power * base.density(y),
-                               Interval(w, c), rel_tol=1e-9,
-                               abs_tol=abs_tol).value
-
-        def sub(t):
-            y = c / t
-            p = base.density(y)
-            return 0.0 if p == 0.0 else y ** power * p * c / (t * t)
-
-        total += integrate(sub, Interval(0.0, 1.0), rel_tol=1e-9,
-                           abs_tol=abs_tol).value
-        return total
-
-    def _lower_int(self, w, power):
-        """integral_lo^w y^power p(y) dy."""
-        base = self.base
-        if w <= base.support.lo:
-            return 0.0
-        return integrate(lambda y: y ** power * base.density(y),
-                         Interval(base.support.lo, w), rel_tol=1e-9,
-                         abs_tol=1e-13).value
-
-    def _prefer_lower(self, w):
-        """Integrate over the side of w carrying less probability mass:
-        the moment integrals concentrate where the density does, and the
-        short side is the one adaptive quadrature resolves reliably."""
-        base = self.base
-        if base.has_cdf:
-            return float(base.cdf(w)) < 0.5
-        return base.support.lo_finite and not base.support.hi_finite
-
-    def _tail_moment(self, w):
-        """integral_w^hi y p(y) dy for the (centered) base.
-
-        Because the base is centered this integral equals the negative of
-        the lower-side integral; the side is chosen by probability mass:
-        on the longer side the signed integrand nearly cancels and the
-        quadrature cannot resolve the tiny residual."""
-        base = self.base
-        if w <= base.support.lo or w >= base.support.hi:
-            return 0.0
-        if self._prefer_lower(w):
-            return max(-self._lower_int(w, 1), 0.0)
-        return max(self._upper_tail(w, 1), 0.0)
-
-    def _cdf_scalar(self, w):
-        """F*(w) = (w T(w) + E[W^2 1(W <= w)]) / sigma^2 (exact identity)."""
-        base = self.base
-        if w <= base.support.lo:
-            return 0.0
-        if w >= base.support.hi:
-            return 1.0
-        t = self._tail_moment(w)
-        if self._prefer_lower(w):
-            v2 = self._lower_int(w, 2)
-        else:
-            # absolute accuracy suffices: the tail is subtracted from sigma^2
-            v2 = self.sigma2 - self._upper_tail(w, 2, abs_tol=1e-12 * self.sigma2)
-        return min(max((w * t + v2) / self.sigma2, 0.0), 1.0)
+    def _cdf(self, w):
+        """F*(w) = (w T(w) + E[W^2 1(W <= w)]) / sigma^2, from the short
+        side of w as in _tail."""
+        l0, l1, l2, u0, u1, u2 = self._moments(w)
+        out = np.where(l0 < u0, l2 - w * l1, self.sigma2 - u2 + w * u1)
+        return np.clip(out / self.sigma2, 0.0, 1.0)
 
     def density(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -301,7 +182,7 @@ class ZeroBiasDistribution(Distribution):
             out = np.where(inside, self._levels[np.clip(idx, 0, len(self._levels) - 1)],
                            0.0)
         else:
-            out = np.array([self._tail_moment(w) / self.sigma2 for w in x_arr])
+            out = self._tail(x_arr) / self.sigma2
         return out if np.ndim(x) else float(out[0])
 
     def cdf(self, x):
@@ -316,8 +197,11 @@ class ZeroBiasDistribution(Distribution):
             out = np.where(x_arr < self._knots[0], 0.0, out)
             out = np.where(x_arr >= self._knots[-1], 1.0, out)
         else:
-            out = np.array([self._cdf_scalar(w) for w in x_arr])
+            out = self._cdf(x_arr)
         return out if np.ndim(x) else float(out[0])
+
+    def quantile(self, p):
+        return float(self.from_uniform(p))
 
     def mean(self):
         # E[W phi(W)] = sigma^2 E[phi'(W*)] with phi = x^2/2
@@ -392,7 +276,8 @@ class ZeroBiasDistribution(Distribution):
             extra = np.asarray(points, dtype=float)
             cuts = np.unique(np.concatenate(
                 [cuts, extra[(extra > cuts[0]) & (extra < cuts[-1])]]))
-        integrand = lambda x: f(x) * float(self._density_fast(x))
+        s2 = self.sigma2
+        integrand = lambda x: f(x) * float(self._tail(x)) / s2
         total, err_total = 0.0, 0.0
         for a, b in zip(cuts[:-1], cuts[1:]):
             wide = (b > 4 * a > 0) or (a < 4 * b < 0)
@@ -468,7 +353,6 @@ class SumZeroBiasCoupling:
         variances = np.array([p.var() for p in parts])
         self.sigma2 = float(variances.sum())
         self.weights = variances / self.sigma2
-        self.sum = None  # filled lazily via summed()
 
     def joint_sample(self, rng, size):
         """Draw (W, W_star, |W_star - W|) triples.
@@ -548,6 +432,9 @@ class EquilibriumDistribution(Distribution):
         out = np.where((x_arr < 0) | (x_arr > self.support.hi), 0.0, out)
         return out if np.ndim(x) else float(out[0])
 
+    def quantile(self, p):
+        return float(self._sampler.from_uniform(p))
+
     def sample(self, rng, size):
         return self._sampler(rng, size)
 
@@ -564,23 +451,3 @@ class EquilibriumSpec:
 
 def equilibrium(d: Distribution) -> EquilibriumSpec:
     return EquilibriumSpec(base=d, eq=EquilibriumDistribution(d))
-
-
-def equilibrium_identity_check(d: Distribution, battery, rel_tol=1e-9,
-                               rng=None, n_mc: int = 10**6):
-    """Residual E[phi(W)] - phi(0) - (1/lambda) E[phi'(W^e)] per battery member.
-
-    battery: iterable of (name, phi, dphi).  Returns {name: residual}.
-    """
-    spec = equilibrium(d)
-    out = {}
-    for name, phi, dphi in battery:
-        if d.has_density or len(d.atoms()[0]):
-            lhs = d.expect(phi, rel_tol=rel_tol) - float(phi(np.array(0.0)))
-        else:
-            if rng is None:
-                raise TransformError("sampler-only law needs an rng")
-            lhs = d.mc_expect(phi, rng, n_mc)[0] - float(phi(np.array(0.0)))
-        rhs = spec.eq.expect(dphi, rel_tol=rel_tol) / spec.lam
-        out[name] = lhs - rhs
-    return out

@@ -163,6 +163,22 @@ def test_sandwich_soundness(family):
 
 
 @pytest.mark.parametrize("family", sorted(CATALOG))
+def test_zero_bias_table_mass(family):
+    star = zero_bias(centered(CATALOG[family])).star
+    assert abs(star.expect(lambda x: 1.0) - 1.0) <= 5e-6
+
+
+@pytest.mark.parametrize("family", ["pareto", "inverse-gamma"])
+def test_zero_bias_linear_g_ordered(family):
+    # with g = x both sides equal sigma^2 times the table's mass (squared on
+    # the lower side), so a mass above 1 would cross them
+    dc = centered(CATALOG[family])
+    g = make_test_function("x", dc.effective_interval(1e-9))
+    rep = bound_zero_bias(zero_bias(dc), g, n_mc=10**4, seed=0)
+    assert rep.lower <= rep.upper
+
+
+@pytest.mark.parametrize("family", sorted(CATALOG))
 def test_tightness_linear_g(family):
     d = CATALOG[family]
     g = make_test_function("x", d.effective_interval(1e-9))

@@ -1,8 +1,11 @@
+import argparse
 import json
+import math
 
 import pytest
 
 from steinbounds import cli
+from steinbounds.numerics import NumericsError
 from steinbounds.verify import ScenarioResult
 
 
@@ -35,6 +38,52 @@ def test_kernel_bad_distribution():
 def test_kernel_pearson_unsupported_family():
     assert cli.main(["kernel", "--dist", "two-point:1,1", "--route",
                      "pearson", "--x", "0.0"]) == 2
+
+
+@pytest.mark.parametrize("dist", ["pareto:3,1", "exp:1.1"])
+def test_kernel_integral_at_support_edge(tmp_path, dist):
+    # the default grid starts at the finite support edge
+    out = tmp_path / "k.json"
+    code = cli.main(["kernel", "--dist", dist, "--route", "integral",
+                     "--out", str(out)])
+    assert code == 0
+    tau = read_json(out)["results"]["tau"]
+    assert all(math.isfinite(t) for t in tau)
+
+
+def test_kernel_rejects_small_grid():
+    assert cli.main(["kernel", "--dist", "gamma:2,1", "--route", "integral",
+                     "--grid-points", "8"]) == 2
+
+
+@pytest.mark.parametrize("n_mc", ["0", "1"])
+def test_bound_rejects_small_n_mc(n_mc):
+    assert cli.main(["bound", "--dist", "normal:0,1", "--g", "sin(x)",
+                     "--method", "cacoullos", "--n-mc", n_mc]) == 2
+
+
+def test_bound_rejects_rel_tol_out_of_range():
+    assert cli.main(["bound", "--dist", "beta:2,3", "--g", "x",
+                     "--method", "cacoullos", "--rel-tol", "0.5"]) == 2
+
+
+def test_generic_non_finite_is_numeric_failure(tmp_path):
+    out = tmp_path / "g.json"
+    assert cli.main(["bound", "--dist", "normal:0,1", "--g", "sqrt(x)",
+                     "--method", "generic", "--n-mc", "10000",
+                     "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_emit_rejects_non_finite(tmp_path):
+    out = tmp_path / "k.json"
+    payload = cli._payload("kernel", 0, {}, {
+        "distribution": "gamma:2,1", "route": "integral", "x": [1.0],
+        "tau": [math.nan], "mean_tau": 2.0, "variance": 2.0})
+    args = argparse.Namespace(out=str(out), format="json")
+    with pytest.raises(NumericsError):
+        cli._emit(payload, args, [])
+    assert not out.exists()
 
 
 def test_bound_cacoullos_json(tmp_path):

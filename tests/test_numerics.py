@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from steinbounds.numerics import (Interval, NonFiniteError, central_diff,
-                                  chebyshev_grid, integrate, inverse_cdf,
-                                  linear_grid, rng_stream)
+                                  integrate, inverse_cdf, linear_grid,
+                                  rng_stream)
 
 
 def test_interval_basics():
@@ -58,10 +58,6 @@ def test_rng_stream_reproducible_and_independent():
 
 
 def test_grids():
-    g = chebyshev_grid(-1.0, 1.0, 33)
-    assert len(g) == 33
-    assert np.all(np.diff(g) > 0)
-    assert g[0] >= -1.0 and g[-1] <= 1.0
     lg = linear_grid(0.0, 1.0, 11)
     assert np.allclose(lg, np.linspace(0.0, 1.0, 11))
 

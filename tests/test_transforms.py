@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import gamma, norm
 
-from steinbounds.distributions import (Exponential, Gaussian, Uniform,
+from steinbounds import distributions, kernels, numerics, transforms
+from steinbounds.distributions import (Exponential, Gamma, Gaussian, Uniform,
                                        centered, point_mass,
                                        standardized_bernoulli,
                                        sum_of_independents, two_point)
+from steinbounds.kernels import integral_kernel
 from steinbounds.numerics import rng_stream
-from steinbounds.transforms import (NotCentered, equilibrium, stop_loss,
-                                    zero_bias, zero_bias_sum)
+from steinbounds.transforms import (EquilibriumDistribution, NotCentered,
+                                    ZeroBiasDistribution, equilibrium,
+                                    stop_loss, zero_bias, zero_bias_sum)
 
 
 def test_zero_bias_requires_centered():
@@ -72,6 +75,51 @@ def test_stop_loss_uniform():
     # E(X - t)+ = (1 - t)^2 / 2 on [0, 1]
     for t in (0.0, 0.25, 0.9):
         assert stop_loss(d, t) == pytest.approx((1 - t) ** 2 / 2.0, abs=1e-9)
+
+
+def test_stop_loss_gamma_closed_form():
+    # E(X - t)+ = (k/b) SF_{k+1}(t) - t SF_k(t) for X ~ Gamma(k, rate b)
+    k, b = 2.0, 1.5
+    t = np.array([-1.0, 0.0, 0.3, 1.0, 2.5, 8.0, 30.0])
+    expected = np.where(t < 0, k / b - t,
+                        k / b * gamma.sf(t, k + 1, scale=1 / b)
+                        - t * gamma.sf(t, k, scale=1 / b))
+    np.testing.assert_allclose(stop_loss(Gamma(k, b), t), expected,
+                               rtol=1e-7, atol=1e-10)
+
+
+def test_tables_make_no_quadrature_calls(monkeypatch):
+    # building and reading the tail-moment tables is vectorised: the number
+    # of adaptive quadrature calls depends on neither the node count nor
+    # the number of points read
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (numerics, distributions, kernels, transforms):
+        for name in ("integrate", "integrate_soft"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(getattr(module, name)))
+    d = Gamma(2.0, 1.0)
+
+    def count(nodes, points):
+        calls.clear()
+        xs = np.linspace(0.0, 8.0, points)
+        integral_kernel(d, grid_points=nodes)(xs)
+        star = ZeroBiasDistribution(centered(d), cdf_grid=nodes)
+        star.density(xs - 2.0)
+        star.cdf(xs - 2.0)
+        eq = EquilibriumDistribution(d, cdf_grid=nodes)
+        eq.survival(xs)
+        eq.quantile(0.5)
+        return len(calls)
+
+    assert count(128, 16) == count(1024, 256)
 
 
 def test_stop_loss_of_zero_bias_two_point():
