@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (CI99_Z, DEFAULT_N_MC, BoundReport, _attach_mc,
-                     bound_cacoullos)
+from .bounds import DEFAULT_N_MC, BoundReport, _attach_mc, bound_cacoullos
 from .distributions import (Beta, Distribution, Gamma, Gaussian,
                             InverseGamma, Pareto)
 from .exprfn import TestFunction

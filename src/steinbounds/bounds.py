@@ -2,9 +2,10 @@
 
 Every bound comes back as a BoundReport carrying the bound values, the
 grid-checked hypothesis verdicts that gate them, a Monte-Carlo variance
-estimate with a 99% confidence halfwidth, and enough metadata to reproduce
-the run.  A bound whose hypothesis fails is withheld: the lower/upper field
-stays None and the numeric value moves to the diagnostics map.
+estimate with a 99% confidence halfwidth (None when E[g(W)^4] is infinite),
+and enough metadata to reproduce the run.  A bound whose hypothesis fails
+is withheld: the lower/upper field stays None and the numeric value moves
+to the diagnostics map.
 
 Bounds implemented:
 
@@ -48,10 +49,6 @@ class BoundError(Exception):
     pass
 
 
-class IncompatibleDirection(BoundError):
-    """Coupling direction does not support the requested bound side."""
-
-
 class MissingGap(BoundError):
     """No E|W* - W| value available and no coupling to estimate it from."""
 
@@ -82,8 +79,8 @@ class BoundReport:
     lower: float | None
     upper: float | None
     mc_variance: float
-    mc_ci99: float
-    mc_se: float
+    mc_ci99: float | None
+    mc_se: float | None
     hypothesis_checks: list = field(default_factory=list)
     remainder: float | None = None
     degenerate: bool = False
@@ -100,8 +97,8 @@ class BoundReport:
             "lower": None if self.lower is None else float(self.lower),
             "upper": None if self.upper is None else float(self.upper),
             "mc_variance": float(self.mc_variance),
-            "mc_ci99": float(self.mc_ci99),
-            "mc_se": float(self.mc_se),
+            "mc_ci99": None if self.mc_ci99 is None else float(self.mc_ci99),
+            "mc_se": None if self.mc_se is None else float(self.mc_se),
             "hypothesis_checks": [h.to_dict() for h in self.hypothesis_checks],
             "remainder": None if self.remainder is None else float(self.remainder),
             "degenerate": bool(self.degenerate),
@@ -134,12 +131,36 @@ def mc_variance(sample_fn, g, seed: int, n_mc: int, stream_id: int = 0):
     return s2, se, CI99_Z * se
 
 
+def fourth_moment_infinite(d: Distribution, g) -> bool:
+    """Whether E[g(W)^4] is infinite, decided from the law and g alone.
+
+    With tail index a (P(W > x) ~ x^-a), E|W|^s is finite iff s < a, so
+    E[g(W)^4] is infinite iff 4 r >= a, r being g's polynomial growth: read
+    from the running maximum of |g| between 1e4 and 1e12 times the start of
+    the tail.  Lower-order terms of g bias r low, so 0.05 below the
+    threshold already counts as infinite.
+    """
+    if not math.isfinite(d.tail_index):
+        return False
+    x = max(d.support.lo, 1.0) * np.geomspace(1.0, 1e12, 37)
+    with np.errstate(all="ignore"):
+        env = np.maximum.accumulate(np.abs(np.asarray(g(x), dtype=float)))
+        r = np.log(env[-1] / env[12]) / np.log(x[-1] / x[12])
+    return bool(4.0 * r >= d.tail_index - 0.05)
+
+
 def _attach_mc(report: BoundReport, d: Distribution, g, seed, n_mc,
                stream_id=0):
+    """The MC variance of g(W), with its standard error and 99% CI
+    halfwidth, or None for both (and a note) when E[g(W)^4] is infinite."""
+    no_se = fourth_moment_infinite(d, g)
     var, se, ci = mc_variance(d.sample, g, seed, n_mc, stream_id)
     report.mc_variance = var
-    report.mc_se = se
-    report.mc_ci99 = ci
+    report.mc_se, report.mc_ci99 = (None, None) if no_se else (se, ci)
+    if no_se:
+        report.meta["mc_se_note"] = (
+            f"E[g(W)^4] is infinite (tail index {d.tail_index:g}): the "
+            "sample variance has no standard error")
     report.degenerate = var < DEGENERATE_VAR
     return report
 

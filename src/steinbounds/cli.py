@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from . import bayes, verify as verify_mod
-from .bounds import (BoundError, BoundReport, MissingGap, SteinCoupling,
+from .bounds import (BoundError, MissingGap, SteinCoupling,
                      bound_cacoullos, bound_convex_order, bound_equilibrium,
                      bound_generic, bound_smoothed, bound_zero_bias,
                      bound_zero_bias_remainder)
@@ -39,7 +39,6 @@ from .exprfn import ExprError, make_test_function, named_test_function
 from .kernels import (KernelError, UnsupportedFamily, integral_kernel,
                       pearson_kernel, smooth, smoothed_kernel)
 from .numerics import NonFiniteError, NumericsError
-from .orderings import check_counting_condition, check_nbue_nwue
 from .transforms import NotCentered, TransformError, zero_bias
 
 EXIT_OK = 0
@@ -186,6 +185,12 @@ def _fmt(v):
     return "withheld" if v is None else f"{v:.10g}"
 
 
+def _mc_line(report, what):
+    ci = ("no CI: E[g^4] is infinite" if report.mc_ci99 is None
+          else f"99% CI halfwidth {report.mc_ci99:.3g}")
+    return f"  mc {what} = {report.mc_variance:.10g} ({ci})"
+
+
 # --------------------------------------------------------------- subcommands
 
 def cmd_kernel(args) -> int:
@@ -277,8 +282,7 @@ def cmd_bound(args) -> int:
     sides = METHOD_SIDES[method]
     lines = [f"bound method={method} dist={args.dist} g={g.source}"]
     lines += [f"  {side} = {_fmt(getattr(report, side))}" for side in sides]
-    lines += [f"  mc Var[g(W)] = {report.mc_variance:.10g} "
-             f"(99% CI halfwidth {report.mc_ci99:.3g})"]
+    lines.append(_mc_line(report, "Var[g(W)]"))
     for h in report.hypothesis_checks:
         lines.append(f"  hypothesis {h.name}: "
                      f"{'holds-on-grid' if h.holds else 'FAILS'}")
@@ -309,8 +313,7 @@ def cmd_posterior(args) -> int:
     lines = [f"posterior pair={args.pair} -> {model.posterior!r}",
              f"  lower = {_fmt(report.lower)}",
              f"  upper = {_fmt(report.upper)}",
-             f"  mc Var[g] = {report.mc_variance:.10g} "
-             f"(99% CI halfwidth {report.mc_ci99:.3g})"]
+             _mc_line(report, "Var[g]")]
     if model.note:
         lines.append(f"  note: {model.note}")
     _emit(_payload("posterior", seed,

@@ -15,10 +15,22 @@ import math
 import numpy as np
 from scipy import stats as _stats
 
-from .numerics import (Interval, REAL_LINE, integrate, inverse_cdf,
-                       rng_stream)
+from .numerics import (Interval, REAL_LINE, TAIL_EDGES, integrate,
+                       inverse_cdf, panel_rule)
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
+TAIL_CHUNK = 16  # points per vectorised density call beyond a table
+# Probability levels of a law's quantile grid: half decades in each tail,
+# down to 1e-12, and steps of 0.04 in the bulk.
+_TAIL_LEVELS = np.logspace(-12, -2, 21)
+PROB_LEVELS = np.concatenate([_TAIL_LEVELS, np.linspace(0.05, 0.95, 23),
+                              1.0 - _TAIL_LEVELS[::-1]])
+
+
+def _weigh(w, y):
+    """n weights w times the values y of f at n points (scalars, vectors or
+    one constant)."""
+    return (np.asarray(y, dtype=float).T * w).T
 
 
 class DistributionError(Exception):
@@ -46,6 +58,7 @@ class Distribution:
     has_closed_moments = False
 
     support = REAL_LINE
+    tail_index = math.inf  # a where P(W > x) ~ x^-a as x -> inf; inf if lighter
 
     def density(self, x):
         raise DistributionError(f"{self.family}: no density")
@@ -79,6 +92,18 @@ class Distribution:
             raise DistributionError(f"{self.family}: no cdf to invert")
         return inverse_cdf(lambda x: float(self.cdf(x)), p, self.support)
 
+    def quantile_grid(self) -> np.ndarray:
+        """The quantiles of PROB_LEVELS, computed once per law (empty when
+        the law has no quantile): the panel edges of expect and the anchors
+        of a tail-moment table."""
+        if "_quantile_grid" not in self.__dict__:
+            try:
+                q = [self.quantile(p) for p in PROB_LEVELS]
+            except DistributionError:
+                q = []
+            self._quantile_grid = np.asarray(q, dtype=float)
+        return self._quantile_grid
+
     def effective_interval(self, tail_mass: float = TAIL_MASS) -> Interval:
         """Quantile range [q(tail_mass), q(1-tail_mass)], clipped to support."""
         lo, hi = self.support.lo, self.support.hi
@@ -88,23 +113,23 @@ class Distribution:
             hi = self.quantile(1.0 - tail_mass)
         return Interval(lo, hi)
 
-    def expect(self, f, rel_tol: float = 1e-9, points=None,
-               interval: Interval | None = None) -> float:
-        """E[f(X)] by exact summation and/or quadrature.
+    def expect(self, f, rel_tol: float = 1e-9, points=None):
+        """E[f(X)]: the atoms summed exactly, plus one integrate call of
+        f times the density over the support, on panels cut at the law's
+        quantile grid and at the caller's points.
 
-        interval optionally restricts the quadrature range (the caller is
-        responsible for the omitted tail mass being negligible)."""
+        f maps a 1-d array of points to one value per point, or to an
+        (n, m) array, whose m expectations come back together."""
         vals, probs = self.atoms()
-        total = float(np.sum(probs * f(vals))) if len(vals) else 0.0
-        w = self.continuous_weight
-        if w > 1e-12:
+        total = np.sum(_weigh(probs, f(vals)), axis=0) if len(vals) else 0.0
+        if self.continuous_weight > 1e-12:
             if not self.has_density:
                 raise DistributionError(
                     f"{self.family}: expectation needs density or atoms")
-            res = integrate(lambda x: f(x) * self.density(x),
-                            interval or self.support, rel_tol=rel_tol,
-                            points=points)
-            total += res.value
+            cuts = np.append(self.quantile_grid(), [] if points is None else points)
+            total = total + integrate(
+                lambda x: _weigh(_finite(self.density(x)), f(x)), self.support,
+                rel_tol=rel_tol, points=cuts).value
         return total
 
     def mc_expect(self, f, rng, n: int):
@@ -203,6 +228,7 @@ class InverseGamma(_ScipyDistribution):
         if a <= 0 or b <= 0:
             raise InvalidParameter("inverse-gamma requires a, b > 0")
         self.params = (a, b)
+        self.tail_index = a
         super().__init__(_stats.invgamma(a, scale=b), Interval(0.0, math.inf))
 
 
@@ -215,6 +241,7 @@ class Pareto(_ScipyDistribution):
         if shape <= 0 or scale <= 0:
             raise InvalidParameter("pareto requires shape, scale > 0")
         self.params = (shape, scale)
+        self.tail_index = shape
         super().__init__(_stats.pareto(shape, scale=scale),
                          Interval(scale, math.inf))
 
@@ -408,6 +435,7 @@ class SamplerSum(Distribution):
         if not parts:
             raise InvalidParameter("need at least one part")
         self.parts = list(parts)
+        self.tail_index = min(p.tail_index for p in parts)
         self._mean = sum(p.mean() for p in parts)
         self._var = sum(p.var() for p in parts)
         lo = sum(p.support.lo for p in parts)
@@ -489,6 +517,7 @@ class RandomSum(Distribution):
             raise InvalidParameter("summand needs sampler and closed moments")
         self.count_dist = count_dist
         self.summand = summand
+        self.tail_index = summand.tail_index
         self.params = tuple(count_dist.params) + tuple(summand.params)
         en, vn = count_dist.mean(), count_dist.var()
         ex, vx = summand.mean(), summand.var()
@@ -635,6 +664,7 @@ class Affine(Distribution):
         self.base = base
         self.shift = shift
         self.scale = scale
+        self.tail_index = base.tail_index
         self.params = tuple(base.params) + (shift, scale)
         self.has_density = base.has_density
         self.has_cdf = base.has_cdf
@@ -688,18 +718,6 @@ def centered(d):
 
 # -------------------------------------------------------- tail-moment table
 
-GL_X, GL_W = np.polynomial.legendre.leggauss(16)
-# Edges of the fixed panels beyond a point, in units of the panel scale:
-# widths grow by 1.3 per panel, out to ~4e14 scales.
-TAIL_EDGES = 1.3 ** np.arange(129) - 1.0
-TAIL_CHUNK = 16  # points per vectorised density call beyond a table
-# Probability levels of the quantile anchors of a table's nodes: half
-# decades in each tail, down to 1e-12, and steps of 0.04 in the bulk.
-_TAIL_LEVELS = np.logspace(-12, -2, 21)
-PROB_LEVELS = np.concatenate([_TAIL_LEVELS, np.linspace(0.05, 0.95, 23),
-                              1.0 - _TAIL_LEVELS[::-1]])
-
-
 def _finite(p):
     """A density's values with an infinite value at a support edge (hit by
     a node, or by a Gauss-Legendre point that rounds onto it) set to 0."""
@@ -716,15 +734,12 @@ def tail_panels(d: Distribution, x, side: int, scale: float):
     """int y^k p(y) dy over [x, inf) (side = +1) or (-inf, x] (side = -1),
     k = 0, 1, 2, as an (len(x), 3) array.
 
-    Each tail is cut into TAIL_EDGES * scale panels summed by 16-point
-    Gauss-Legendre: narrow next to x, where a light tail decays, and
-    geometrically wider outward, which is the y = c/t substitution on
-    fixed panels for a power-law tail."""
+    Each tail is cut into the TAIL_EDGES * scale panels of numerics, summed
+    by 16-point Gauss-Legendre: narrow next to x, where a light tail
+    decays, and geometrically wider outward."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    edges = scale * TAIL_EDGES
-    mids, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    offsets = side * (mids[:, None] + half[:, None] * GL_X)
-    weights = half[:, None] * GL_W
+    edges = side * scale * TAIL_EDGES
+    offsets, weights = panel_rule(edges[:-1], edges[1:])
     out = np.empty((len(x), 3))
     for k in range(0, len(x), TAIL_CHUNK):
         y = x[k:k + TAIL_CHUNK, None, None] + offsets
@@ -743,10 +758,7 @@ def _composite_grid(d: Distribution, lo: float, hi: float, n: int):
     hi, which may lie far beyond them; 48 geometric steps refine toward
     each finite support edge, where a density can rise steeply from zero.
     """
-    try:
-        q = np.array([d.quantile(p) for p in PROB_LEVELS])
-    except DistributionError:
-        q = np.empty(0)
+    q = d.quantile_grid()
     inner = np.unique(q[(q > lo) & (q < hi)])
     if len(inner) < 2:
         inner = np.array([lo, hi])
@@ -787,9 +799,8 @@ class TailMoments:
         self.d = d
         self.scale = (hi_t - lo_t) / 64.0
         xs = _composite_grid(d, lo_t, hi_t, n)
-        mids, half = 0.5 * (xs[1:] + xs[:-1]), 0.5 * np.diff(xs)
-        y = mids[:, None] + half[:, None] * GL_X
-        seg = _weighted_moments(y, _finite(d.density(y)) * half[:, None] * GL_W)
+        y, w = panel_rule(xs[:-1], xs[1:])
+        seg = _weighted_moments(y, _finite(d.density(y)) * w)
         below, above = np.zeros(3), np.zeros(3)
         if lo_t > d.support.lo:
             below = tail_panels(d, xs[0], -1, self.scale)[0]
@@ -826,6 +837,25 @@ class TailMoments:
                     out[:, beyond] = self._beyond(x.ravel()[beyond], side)
             out = out.reshape((6,) + x.shape)
         return out
+
+    def excess(self, x, mu):
+        """int_x^hi (y - mu) p(y) dy at points x: U1 - mu U0, or mu L0 - L1
+        (equal when mu is the mean) where the lower side is the shorter."""
+        l0, l1, _, u0, u1, _ = self(x)
+        return np.where(l0 < u0, mu * l0 - l1, u1 - mu * u0)
+
+    def excess_integral(self, mu, rel_tol):
+        """The integral of excess (clipped at 0) over the line, Var[W] when
+        mu is the mean: the cubic reads on the table's own panels, plus the
+        tails beyond its nodes in closed form, U2 - hi U1 - mu (U1 - hi U0)
+        above hi and mu (lo L0 - L1) - (lo L1 - L2) below lo."""
+        lo, hi = self.xs[0], self.xs[-1]
+        inner = integrate(lambda x: np.maximum(self.excess(x, mu), 0.0),
+                          Interval(lo, hi), rel_tol=rel_tol, points=self.xs).value
+        l0, l1, l2, _, _, _ = self(lo)
+        _, _, _, u0, u1, u2 = self(hi)
+        return float(inner + (u2 - hi * u1) - mu * (u1 - hi * u0)
+                     + mu * (lo * l0 - l1) - (lo * l1 - l2))
 
     def _beyond(self, x, side):
         """The six moments at points x outside the nodes on one side."""

@@ -205,12 +205,6 @@ class _Tokenizer:
         self.text = text
         self.pos = 0
 
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1

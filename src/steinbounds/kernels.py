@@ -20,10 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .distributions import Distribution, TailMoments
+from .distributions import Distribution, TailMoments, _weigh
 from .numerics import Interval, integrate
 
 DENSITY_FLOOR = 1e-300
+SMOOTH_PANELS = 64  # most panels of the epsilon grid of a smoothed law
+# Cuts around the centre of a Gaussian bump, in units of epsilon: the bump
+# is resolved, and is below 1e-13 of its peak past 8.
+BUMP_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+MIX_CHUNK = 16  # points x per expectation over a base with a density
 
 
 class KernelError(Exception):
@@ -46,15 +51,16 @@ class SteinKernel:
     provenance: str  # pearson | integral | smoothed
     base: Distribution
     pearson_coeffs: tuple | None = None  # (delta1, delta2, delta3, mu)
-    breaks: tuple | None = None  # points where the kernel's read changes form
+    mean: object = None  # rel_tol -> E[tau(W)], where the route reads it directly
 
     def __call__(self, x):
         return self.eval(x)
 
     def expected_value(self, rel_tol: float = 1e-9) -> float:
         """E[tau(W)]; equals Var[W] when the kernel is exact."""
-        return self.base.expect(lambda x: self.eval(x), rel_tol=rel_tol,
-                                points=self.breaks)
+        if self.mean is not None:
+            return self.mean(rel_tol)
+        return self.base.expect(self.eval, rel_tol=rel_tol)
 
 
 # ------------------------------------------------------------- Pearson route
@@ -122,26 +128,22 @@ def integral_kernel(d: Distribution, grid_points: int = 512) -> SteinKernel:
     mu = d.mean()
     eff = d.effective_interval(1e-9)
     table = TailMoments(d, eff.lo, eff.hi, grid_points)
-
-    def moment(x):
-        l0, l1, _, u0, u1, _ = table(x)
-        return np.where(l0 < u0, mu * l0 - l1, u1 - mu * u0)
-
     ok = table.p >= DENSITY_FLOOR
     nodes = table.xs[ok]
-    node_tau = moment(nodes) / table.p[ok]
+    node_tau = table.excess(nodes, mu) / table.p[ok]
 
     def tau(x):
         x_arr = np.asarray(x, dtype=float)
         p = np.asarray(d.density(x_arr), dtype=float)
         safe = p >= DENSITY_FLOOR
-        ratio = moment(x_arr) / np.where(safe, p, 1.0)
+        ratio = table.excess(x_arr, mu) / np.where(safe, p, 1.0)
         out = np.maximum(np.where(safe, ratio, np.interp(x_arr, nodes, node_tau)),
                          0.0)
         return out if np.ndim(x) else float(out)
 
+    # E[tau(W)] = int of tau p, which is the excess read itself
     return SteinKernel(eval=tau, provenance="integral", base=d,
-                       breaks=(eff.lo, eff.hi))
+                       mean=lambda rel_tol: table.excess_integral(mu, rel_tol))
 
 
 # ------------------------------------------------------------ smoothed route
@@ -164,21 +166,18 @@ class SmoothedDistribution(Distribution):
         self.has_sampler = base.has_sampler
         self._mu = base.mean()
 
-    def _mix(self, x, f):
-        """E[f(x - Y)] over the law of Y (exact for finite atoms); x is 1-d."""
-        x = np.asarray(x, dtype=float)
-        vals, probs = self.base.atoms()
-        out = np.zeros_like(x, dtype=float)
-        if len(vals):
-            out += np.sum(probs[:, None] * f(x[None, :] - vals[:, None]), axis=0)
-        if self.base.continuous_weight > 1e-12:
-            if not self.base.has_density:
-                raise KernelError("smoothing needs atoms or a density for Y")
-            def one(t):
-                return integrate(lambda y: self.base.density(y) * float(f(t - y)),
-                                 self.base.support, rel_tol=1e-10).value
-            out = out + np.vectorize(one)(x)
-        return out
+    def _mix(self, x, f, weight=lambda y: 1.0):
+        """E[weight(Y) f(x - Y)] over the law of Y for every x of the 1-d
+        array x, f varying on the scale of epsilon around 0: vector-valued
+        expectations, one for all x over atoms (a finite sum).  A base with
+        a density takes MIX_CHUNK points x at a time, each with BUMP_OFFSETS
+        cuts around y = x, so that the cost does not grow as eps shrinks."""
+        x, bump = np.asarray(x, dtype=float), self.epsilon * BUMP_OFFSETS
+        n = MIX_CHUNK if self.base.continuous_weight > 1e-12 else max(len(x), 1)
+        return np.concatenate([self.base.expect(
+            lambda y: _weigh(weight(y), f(xk - y[:, None])), rel_tol=1e-10,
+            points=(xk[:, None] - bump).ravel())
+            for xk in (x[k:k + n] for k in range(0, len(x), n))])
 
     def density(self, x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
@@ -200,11 +199,21 @@ class SmoothedDistribution(Distribution):
         return self.base.sample(rng, size) + rng.normal(0.0, self.epsilon, size=size)
 
     def expect(self, f, rel_tol=1e-9, points=None):
-        # Integrate over the effective range: the Gaussian factor makes the
-        # omitted tail mass < 1e-13, and the kernel/density evaluations
-        # underflow far outside it.
+        """E[f(Y + Z)] over the effective range (omitted mass < 1e-13), on
+        panels one epsilon wide, where the density is smooth, but at most
+        SMOOTH_PANELS of them; where that cap widens them, the base's
+        quantiles and BUMP_OFFSETS around its atoms are cut as well, so the
+        cost grows with the number of atoms, not with the range over eps."""
         eff = self.effective_interval(1e-13)
-        return super().expect(f, rel_tol=rel_tol, points=points, interval=eff)
+        eps = self.epsilon
+        step = max(eps, (eff.hi - eff.lo) / SMOOTH_PANELS)
+        cuts = [np.arange(eff.lo, eff.hi, step), [] if points is None else points]
+        if step > eps:
+            atoms, _ = self.base.atoms()
+            cuts += [(np.asarray(atoms)[:, None] + eps * BUMP_OFFSETS).ravel(),
+                     self.base.quantile_grid()]
+        return integrate(lambda x: _weigh(self.density(x), f(x)), eff,
+                         rel_tol=rel_tol, points=np.concatenate(cuts)).value
 
 
 @dataclass
@@ -228,30 +237,17 @@ def smoothed_kernel(s: SmoothedSpec) -> SteinKernel:
     conv = s.convolved
     eps = s.epsilon
     mu = conv.mean()
-    base = s.base
 
     def tau(x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        den = conv._mix(x1, lambda t: _norm.pdf(t, scale=eps))
-        vals, probs = base.atoms()
-        num = np.zeros_like(x1)
-        if len(vals):
-            sf = _norm.sf(x1[None, :] - vals[:, None], scale=eps)
-            num += np.sum((probs * (vals - mu))[:, None] * sf, axis=0)
-        if base.continuous_weight > 1e-12:
-            def one(t):
-                return integrate(
-                    lambda y: (y - mu) * base.density(y)
-                    * float(_norm.sf(t - y, scale=eps)),
-                    base.support, rel_tol=1e-10).value
-            num = num + np.vectorize(one)(x1)
+        den = conv.density(x1)
+        num = conv._mix(x1, lambda t: _norm.sf(t, scale=eps), lambda y: y - mu)
         if np.any(den < DENSITY_FLOOR):
             raise DensityUnderflow("smoothed denominator underflow in the tails")
         out = eps * eps + num / den
         return out if np.ndim(x) else float(out[0])
 
-    kernel = SteinKernel(eval=tau, provenance="smoothed", base=conv)
-    return kernel
+    return SteinKernel(eval=tau, provenance="smoothed", base=conv)
 
 
 # ------------------------------------------------------------- diagnostics

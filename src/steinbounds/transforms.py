@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (Distribution, DistributionError, Exponential,
-                            RandomSum, TailMoments, Uniform, tail_panels)
-from .numerics import (Interval, IntegrationError, QuadResult, integrate,
-                       integrate_soft, linear_grid)
+                            RandomSum, TailMoments, Uniform, _weigh, tail_panels)
+from .numerics import Interval, integrate, linear_grid
 
 
 class TransformError(Exception):
@@ -112,7 +111,8 @@ class ZeroBiasDistribution(Distribution):
         else:
             self._init_continuous(cdf_grid)
 
-    # discrete base: density is a step function between consecutive atoms
+    # discrete base: density is a step function between consecutive atoms,
+    # so the cdf is piecewise linear, exact in the (node, cdf) table
     def _init_discrete(self, vals, probs):
         if len(vals) < 2:
             raise TransformError("degenerate discrete base")
@@ -121,13 +121,13 @@ class ZeroBiasDistribution(Distribution):
         tail = np.cumsum((vals * probs)[::-1])[::-1]  # tail[k] = sum_{i>=k} v p
         self._knots = vals
         self._levels = np.maximum(tail[1:], 0.0) / self.sigma2  # on [v_k, v_{k+1})
-        seg = self._levels * np.diff(vals)
-        self._seg_cum = np.concatenate([[0.0], np.cumsum(seg)])
+        cum = np.concatenate([[0.0], np.cumsum(self._levels * np.diff(vals))])
         # guard against rounding: total mass must be 1
-        if abs(self._seg_cum[-1] - 1.0) > 1e-9:
+        if abs(cum[-1] - 1.0) > 1e-9:
             raise TransformError(
-                f"zero-bias mass {self._seg_cum[-1]:.12g} != 1 (base not centered?)")
-        self._seg_cum /= self._seg_cum[-1]
+                f"zero-bias mass {cum[-1]:.12g} != 1 (base not centered?)")
+        self._cdf_xs, self._cdf_vals = vals, cum / cum[-1]
+        self._sampler = _GridInverseSampler(vals, self._cdf_vals)
 
     def _init_continuous(self, cdf_grid):
         """Tail-moment table of the base on about cdf_grid nodes over the
@@ -187,17 +187,8 @@ class ZeroBiasDistribution(Distribution):
 
     def cdf(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._discrete:
-            idx = np.clip(np.searchsorted(self._knots, x_arr, side="right") - 1,
-                          0, len(self._levels) - 1)
-            base = self._seg_cum[idx]
-            frac = self._levels[idx] * (np.clip(x_arr, self._knots[0],
-                                                self._knots[-1]) - self._knots[idx])
-            out = np.clip(base + frac, 0.0, 1.0)
-            out = np.where(x_arr < self._knots[0], 0.0, out)
-            out = np.where(x_arr >= self._knots[-1], 1.0, out)
-        else:
-            out = self._cdf(x_arr)
+        out = (np.interp(x_arr, self._cdf_xs, self._cdf_vals) if self._discrete
+               else self._cdf(x_arr))
         return out if np.ndim(x) else float(out[0])
 
     def quantile(self, p):
@@ -207,105 +198,43 @@ class ZeroBiasDistribution(Distribution):
         # E[W phi(W)] = sigma^2 E[phi'(W*)] with phi = x^2/2
         return self.base.expect(lambda x: x**3) / (2.0 * self.sigma2)
 
-    def var(self):
-        # second moment from phi = x^3/3
-        m2 = self.base.expect(lambda x: x**4) / (3.0 * self.sigma2)
-        return m2 - self.mean() ** 2
-
     def _stop_loss(self, t):
-        """E[(W* - t)_+]; exact for a discrete base (step density), table
-        accuracy (~1e-8 in the bulk) for a continuous one.
-
-        Continuous path: E[(X - t)_+] = integral_t^hi (1 - F(y)) dy
-        accumulated by the trapezoid rule on the cdf grid."""
-        if self._discrete:
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for k in range(len(self._levels)):
-                a, b = self._knots[k], self._knots[k + 1]
-                seg = np.where(t >= b, 0.0,
-                               np.where(t <= a,
-                                        0.5 * (b * b - a * a) - t * (b - a),
-                                        0.5 * (b - t) ** 2))
-                out += self._levels[k] * seg
-            return out
+        """E[(W* - t)_+] = int_t^hi (1 - F*(y)) dy by the trapezoid rule on
+        the cdf table, from t to the next node and node to node beyond it:
+        exact for a discrete base (piecewise-linear cdf), table accuracy
+        (~1e-8 in the bulk) for a continuous one."""
+        xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
         if not hasattr(self, "_sl_table"):
-            surv = 1.0 - self._cdf_vals
-            steps = 0.5 * (surv[1:] + surv[:-1]) * np.diff(self._cdf_xs)
-            tail = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
-            self._sl_table = tail
+            steps = 0.5 * (surv[1:] + surv[:-1]) * np.diff(xs)
+            self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
         t = np.asarray(t, dtype=float)
-        out = np.interp(t, self._cdf_xs, self._sl_table)
-        below = t < self._cdf_xs[0]
-        if np.any(below):
-            mean = self._sl_table[0] + self._cdf_xs[0]  # E[W*] given P(W*>=lo)=1
-            out = np.where(below, mean - t, out)
-        return out
+        tc = np.clip(t, xs[0], xs[-1])
+        j = np.clip(np.searchsorted(xs, tc, side="right"), 1, len(xs) - 1)
+        out = self._sl_table[j] + 0.5 * (xs[j] - tc) * (
+            1.0 - np.interp(tc, xs, self._cdf_vals) + surv[j])
+        # below the table E[W*] - t, with P(W* >= xs[0]) = 1
+        return np.where(t < xs[0], self._sl_table[0] + xs[0] - t, out)
 
     def sample(self, rng, size):
         return self.from_uniform(rng.uniform(size=size))
 
     def from_uniform(self, u):
         """Inverse-cdf map of uniforms (shared for comonotone couplings)."""
-        u = np.asarray(u, dtype=float)
-        if self._discrete:
-            idx = np.clip(np.searchsorted(self._seg_cum, u, side="right") - 1,
-                          0, len(self._levels) - 1)
-            offset = (u - self._seg_cum[idx]) / np.maximum(self._levels[idx], 1e-300)
-            return self._knots[idx] + offset
-        return self._sampler.from_uniform(u)
+        return self._sampler.from_uniform(np.asarray(u, dtype=float))
 
     def expect(self, f, rel_tol=1e-9, points=None):
-        if self._discrete:
-            # exact piecewise integration over the uniform segments
-            total = 0.0
-            for k in range(len(self._levels)):
-                if self._levels[k] <= 0:
-                    continue
-                seg = Interval(self._knots[k], self._knots[k + 1])
-                total += self._levels[k] * integrate(f, seg, rel_tol=rel_tol).value
-            return total
-        # Piecewise over quantile-spaced segments: the support can stretch
-        # many decades into a heavy tail, where a single adaptive pass
-        # cannot track an oscillatory integrand.  Per-segment error
-        # estimates are accumulated against an overall budget; a segment
-        # that misses its own tolerance is bisected geometrically first.
-        qs = np.linspace(0.0, 1.0, 65)
-        cuts = np.unique(np.interp(qs, self._cdf_vals, self._cdf_xs))
-        if points is not None:
-            extra = np.asarray(points, dtype=float)
-            cuts = np.unique(np.concatenate(
-                [cuts, extra[(extra > cuts[0]) & (extra < cuts[-1])]]))
-        s2 = self.sigma2
-        integrand = lambda x: f(x) * float(self._tail(x)) / s2
-        total, err_total = 0.0, 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            wide = (b > 4 * a > 0) or (a < 4 * b < 0)
-            if wide:
-                # Segments spanning decades defeat a single adaptive pass
-                # (the nodes never land on the near end, so mass is silently
-                # lost and the error estimate is untrustworthy); integrate
-                # on a geometric subgrid instead.
-                lo_m, hi_m = sorted((abs(a), abs(b)))
-                sgn = 1.0 if a > 0 else -1.0
-                sub = np.sort(sgn * np.geomspace(lo_m, hi_m, 257))
-                v, e = 0.0, 0.0
-                for aa, bb in zip(sub[:-1], sub[1:]):
-                    r = integrate_soft(integrand, Interval(float(aa), float(bb)),
-                                       rel_tol=rel_tol, abs_tol=1e-10)
-                    v += r.value
-                    e += r.abs_error_estimate
-                res = QuadResult(v, e, 0)
-            else:
-                res = integrate_soft(integrand, Interval(float(a), float(b)),
-                                     rel_tol=rel_tol, abs_tol=1e-12)
-            total += res.value
-            err_total += res.abs_error_estimate
-        if err_total > rel_tol * abs(total) + 1e-6:
-            raise IntegrationError(
-                f"zero-bias expectation error {err_total:.3g} above budget "
-                f"for value {total:.6g}")
-        return total
+        """E[f(W*)]: one integrate call of f times the zero-bias density.
+
+        For a discrete base the density is a step between atoms, and the
+        panels are cut at the atoms.  For a continuous base the density is
+        T(x)/sigma^2, read from the tail-moment table, and the panels are
+        the table's own, over its range, which holds all but ~1e-9 of the
+        mass: the table's cubic reads are polynomials on each panel."""
+        knots = self._knots if self._discrete else self._moments.xs
+        pts = np.append(knots, [] if points is None else points)
+        return integrate(lambda x: _weigh(self.density(x), f(x)),
+                         Interval(float(knots[0]), float(knots[-1])),
+                         rel_tol=rel_tol, points=pts).value
 
 
 @dataclass
@@ -412,9 +341,7 @@ class EquilibriumDistribution(Distribution):
                 hi = base.effective_interval(1e-12).hi
         self.support = Interval(0.0, hi)
         xs = linear_grid(0.0, hi, cdf_grid)
-        self._cdf_xs = xs
-        self._cdf_vals = np.clip(self.cdf(xs), 0.0, 1.0)
-        self._sampler = _GridInverseSampler(xs, self._cdf_vals)
+        self._sampler = _GridInverseSampler(xs, np.clip(self.cdf(xs), 0.0, 1.0))
 
     def survival(self, x):
         # lambda * integral_x^inf P(W > y) dy = lambda * E[(W - x)_+]

@@ -154,10 +154,17 @@ def test_sandwich_soundness(family):
     for g_src in SANDWICH_G:
         g = make_test_function(g_src, eff)
         rep = bound_cacoullos(d, kernel, g, n_mc=10**6, seed=11)
-        assert rep.lower - 4 * rep.mc_se <= rep.mc_variance, (family, g_src)
-        assert rep.mc_variance <= rep.upper + 4 * rep.mc_se, (family, g_src)
         gc = make_test_function(g_src, eff_c)
         repz = bound_zero_bias(zb, gc, n_mc=10**6, seed=12)
+        if family == "pareto" and g_src == "x":
+            # E[W^4] is infinite, so the MC variance has no error bar; with
+            # g = x both sides equal Var[W]
+            for r in (rep, repz):
+                assert r.lower == pytest.approx(d.var(), rel=1e-6)
+                assert r.upper == pytest.approx(d.var(), rel=1e-6)
+            continue
+        assert rep.lower - 4 * rep.mc_se <= rep.mc_variance, (family, g_src)
+        assert rep.mc_variance <= rep.upper + 4 * rep.mc_se, (family, g_src)
         assert repz.lower - 4 * repz.mc_se <= repz.mc_variance, (family, g_src)
         assert repz.mc_variance <= repz.upper + 4 * repz.mc_se, (family, g_src)
 

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps the package's entry
+points by name from outside it; a renamed or removed entry point would
+break every traced benchmark run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+import steinbounds as sb
+d = sb.parse_dist("normal:0,1")
+g = sb.make_test_function("sin(x)", d.effective_interval(1e-9))
+tracer.request_span(0, sb.bound_cacoullos, d, sb.pearson_kernel(d), g,
+                    1e-6, 10**4)
+tracer.request_span(1, sb.bound_zero_bias, sb.zero_bias(d), g, 1e-6, 10**4)
+print(tracer.totals()["numerics.quad"][0])
+"""
+
+
+def test_tracer_installs_and_sees_quadrature():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench" / "tracing.py")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) >= 1

@@ -8,9 +8,11 @@ from steinbounds.bounds import (BoundError, MissingGap, SteinCoupling,
                                 bound_cacoullos, bound_convex_order,
                                 bound_equilibrium, bound_generic,
                                 bound_smoothed, bound_zero_bias,
-                                bound_zero_bias_remainder)
-from steinbounds.distributions import (Exponential, Gaussian, Uniform,
-                                       standardized_bernoulli,
+                                bound_zero_bias_remainder,
+                                fourth_moment_infinite)
+from steinbounds.distributions import (Beta, Exponential, Gamma, Gaussian,
+                                       InverseGamma, Pareto, Uniform,
+                                       centered, standardized_bernoulli,
                                        sum_of_independents, two_point)
 from steinbounds.exprfn import make_test_function
 from steinbounds.kernels import pearson_kernel, smooth
@@ -139,3 +141,31 @@ def test_smoothed_claims():
         assert lo.lower - 4 * lo.mc_se <= lo.mc_variance
     with pytest.raises(BoundError):
         bound_smoothed(s, g, claim="iii")
+
+
+def test_fourth_moment_gate():
+    def gate(d, g_src):
+        return fourth_moment_infinite(
+            d, make_test_function(g_src, d.effective_interval(1e-9)))
+
+    assert gate(Pareto(3.0, 1.0), "x")
+    assert gate(centered(Pareto(3.0, 1.0)), "x")
+    assert gate(InverseGamma(6.0, 6.0), "x + x^2/8")
+    for g_src in ("sin(x)/(1+x^2)", "x/(1+x^2)", "exp(-x^2)", "sin(x)"):
+        assert not gate(Pareto(3.0, 1.0), g_src), g_src
+    assert not gate(InverseGamma(5.0, 3.0), "x")
+    for d in (Gaussian(0.0, 1.0), Beta(4.0, 8.0), Gamma(2.0, 1.0),
+              Exponential(1.0), Uniform(0.0, 1.0)):
+        for g_src in ("x", "x + x^2/8", "exp(x)"):
+            assert not gate(d, g_src), (d, g_src)
+
+
+def test_gated_report_has_no_error_bar():
+    d = Pareto(3.0, 1.0)
+    g = make_test_function("x", d.effective_interval(1e-9))
+    rep = bound_cacoullos(d, pearson_kernel(d), g, n_mc=10**4, seed=0)
+    assert rep.mc_se is None and rep.mc_ci99 is None
+    assert "infinite" in rep.meta["mc_se_note"]
+    back = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    assert back["mc_se"] is None and back["mc_ci99"] is None
+    assert math.isfinite(back["mc_variance"])

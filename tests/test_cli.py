@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 
+import jsonschema
 import pytest
 
 from steinbounds import cli
@@ -84,6 +85,26 @@ def test_emit_rejects_non_finite(tmp_path):
     with pytest.raises(NumericsError):
         cli._emit(payload, args, [])
     assert not out.exists()
+
+
+def test_bound_on_infinite_variance_is_numeric_failure(capsys):
+    # Var[W^2] is infinite for Pareto(3): E[tau g'^2] diverges, and no
+    # finite upper bound may be reported
+    code = cli.main(["bound", "--dist", "pareto:3,1", "--g", "x^2", "--method",
+                     "cacoullos", "--n-mc", "10000"])
+    assert code == cli.EXIT_NUMERIC
+    assert "upper" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("epsilon", ["1e-3", "1e-6"])
+def test_smoothed_tiny_epsilon_on_atoms(epsilon, capsys):
+    # between the atoms the smoothed density underflows: refused promptly
+    for argv in (["bound", "--dist", "two-point:0.8,1.3", "--g", "x", "--method",
+                  "smoothed-i", "--n-mc", "10000"],
+                 ["kernel", "--dist", "two-point:0.8,1.3", "--route", "smoothed",
+                  "--x", "0.1"]):
+        assert cli.main(argv + ["--epsilon", epsilon]) == cli.EXIT_NUMERIC
+    assert "underflow" in capsys.readouterr().err
 
 
 def test_bound_cacoullos_json(tmp_path):
@@ -202,3 +223,35 @@ def test_bound_only_promised_sides_printed(capsys):
     text = capsys.readouterr().out
     assert "upper" in text
     assert "lower" not in text
+
+
+PAYLOAD_COMMANDS = [
+    ["kernel", "--dist", "beta:4,8", "--route", "pearson", "--x", "0.5"],
+    ["kernel", "--dist", "pareto:3,1", "--route", "integral"],
+    ["kernel", "--dist", "exp:1.1", "--route", "integral"],
+    ["bound", "--dist", "normal:0,1", "--g", "x", "--method", "cacoullos",
+     "--n-mc", "10000"],
+    ["bound", "--dist", "two-point:1,1", "--g", "sin(x)", "--method",
+     "convex", "--n-mc", "10000"],
+    ["bound", "--dist", "uniform:0,2", "--g", "x", "--method",
+     "equilibrium-a", "--n-mc", "10000"],
+    ["bound", "--dist", "pareto:3,1", "--g", "x", "--method", "cacoullos",
+     "--n-mc", "10000"],
+    ["posterior", "--pair", "binomial-beta", "--alpha", "1", "--beta", "1",
+     "--n", "10", "--x", "3", "--g", "x", "--n-mc", "10000"],
+    ["posterior", "--pair", "uniform-pareto", "--alpha", "3", "--beta", "1",
+     "--n", "5", "--max", "2", "--g", "x + x^2/8", "--n-mc", "10000"],
+    ["verify", "two-point-cx", "--seed", "11"],
+]
+
+
+@pytest.mark.parametrize("argv", PAYLOAD_COMMANDS, ids=lambda a: " ".join(a[:4]))
+def test_payload_matches_schema(tmp_path, argv):
+    out = tmp_path / "r.json"
+    assert cli.main(argv + ["--out", str(out)]) in (0, 3)
+    payload = read_json(out)
+    jsonschema.Draft7Validator(cli.load_schema()).validate(payload)
+    if argv[:3] == ["bound", "--dist", "pareto:3,1"]:
+        # E[W^4] is infinite on Pareto(3): the MC variance has no error bar
+        assert payload["results"]["mc_se"] is None
+        assert payload["results"]["mc_ci99"] is None

@@ -87,6 +87,25 @@ def test_smooth_rejects_bad_epsilon():
         smooth(two_point(1.0, 1.0), -1.0)
 
 
+def test_smoothed_law_with_tiny_epsilon():
+    # the Gaussian factor is far narrower than the base's panels: each
+    # point gets its own cuts, and the mix returns the base's own law
+    conv = smooth(Gaussian(0.0, 1.0), 1e-6).convolved
+    x = np.array([-1.0, 0.0, 0.5])
+    np.testing.assert_allclose(conv.density(x), norm.pdf(x), rtol=1e-8)
+    np.testing.assert_allclose(conv.cdf(x), norm.cdf(x), rtol=1e-8)
+    # over atoms the panels are cut around each bump, not every epsilon
+    conv = smooth(two_point(1.0, 2.0), 1e-6).convolved
+    assert conv.expect(lambda x: x * x) == pytest.approx(2.0 + 1e-12, rel=1e-9)
+
+
+def test_smoothed_expect_takes_vector_integrands():
+    conv = smooth(two_point(1.0, 2.0), 0.5).convolved
+    both = conv.expect(lambda x: np.stack([x, x * x], -1))
+    assert both == pytest.approx([conv.expect(lambda x: x),
+                                  conv.expect(lambda x: x * x)], rel=1e-9)
+
+
 def test_kernel_mean_property():
     d = Gamma(2.0, 1.0)
     assert pearson_kernel(d).expected_value() == pytest.approx(2.0, rel=1e-9)

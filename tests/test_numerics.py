@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from steinbounds.numerics import (Interval, NonFiniteError, central_diff,
-                                  integrate, inverse_cdf, linear_grid,
-                                  rng_stream)
+from steinbounds import numerics
+from steinbounds.bounds import bound_zero_bias
+from steinbounds.distributions import Pareto, centered
+from steinbounds.exprfn import make_test_function
+from steinbounds.numerics import (MAX_EVALS, REAL_LINE, IntegrationError,
+                                  Interval, NonFiniteError, central_diff,
+                                  integrate, integrate_soft, inverse_cdf,
+                                  linear_grid, rng_stream)
+from steinbounds.transforms import zero_bias
 
 
 def test_interval_basics():
@@ -33,8 +39,80 @@ def test_integrate_with_breakpoints():
 
 def test_integrate_rejects_nonfinite():
     with pytest.raises(NonFiniteError):
-        integrate(lambda x: math.inf if x < 0.5 else 1.0,
+        integrate(lambda x: np.where(x < 0.5, math.inf, 1.0),
                   Interval(0.0, 1.0), rel_tol=1e-6)
+
+
+def test_integrate_never_converging_raises_within_budget():
+    rng = np.random.default_rng(0)
+    evaluated = []
+
+    def noise(x):
+        evaluated.append(len(x))
+        return rng.standard_normal(len(x))
+
+    with pytest.raises(IntegrationError):
+        integrate(noise, Interval(0.0, 1.0), rel_tol=1e-6)
+    assert 0 < sum(evaluated) <= MAX_EVALS
+
+
+def test_integrate_breakpoint_on_infinite_interval():
+    # a jump at 2: with the cut there the first pass is exact, without it
+    # the panel holding the jump must be bisected again and again
+    def f(x):
+        return np.where(x > 2.0, np.exp(-np.maximum(x, 2.0)), 0.0)
+
+    cut = integrate(f, REAL_LINE, rel_tol=1e-10, points=[2.0])
+    assert cut.value == pytest.approx(math.exp(-2.0), rel=1e-13)
+    assert cut.evaluations < integrate_soft(f, REAL_LINE, rel_tol=1e-10).evaluations
+
+
+def test_integrate_constant_and_vector_integrands():
+    assert integrate(lambda x: 2.0, Interval(0.0, 3.0)).value == \
+        pytest.approx(6.0, rel=1e-14)
+    r = integrate(lambda x: norm.pdf(x)[:, None] * np.stack([x**0, x, x * x], -1),
+                  REAL_LINE, rel_tol=1e-10)
+    assert r.err.shape == (3,)
+    np.testing.assert_allclose(r.value, [1.0, 0.0, 1.0], atol=1e-10)
+
+
+def test_integrate_slow_tail_is_summed_to_infinity():
+    # int_1^inf x^-1.5 dx = 2: the part past the fixed tail panels is
+    # ~1e-7 of it, and must be in the value, not left out
+    r = integrate(lambda x: x ** -1.5, Interval(1.0, math.inf), rel_tol=1e-11)
+    assert r.value == pytest.approx(2.0, rel=1e-11)
+    assert integrate(lambda x: 1.0 / (1.0 + x * x), REAL_LINE,
+                     rel_tol=1e-11).value == pytest.approx(math.pi, rel=1e-11)
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (1.0 + x), lambda x: 1.0 - 1.0 / x],
+                         ids=["log-divergent", "not-decaying"])
+def test_integrate_divergent_tail_raises(f):
+    with pytest.raises(IntegrationError):
+        integrate(f, Interval(1.0, math.inf))
+
+
+def test_zero_bias_pareto_sin_returns_or_raises_within_budget(monkeypatch):
+    # g'(W*)^2 = cos^2 oscillates undamped far into the zero-bias law's
+    # heavy tail: the quadrature must give up within its budget
+    evaluations = []
+    soft = numerics.integrate_soft
+
+    def counted(*args, **kwargs):
+        res = soft(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(numerics, "integrate_soft", counted)
+    dc = centered(Pareto(3.0, 1.0))
+    g = make_test_function("sin(x)", dc.effective_interval(1e-9))
+    try:
+        rep = bound_zero_bias(zero_bias(dc), g, n_mc=10**4, seed=0)
+    except IntegrationError:
+        pass
+    else:
+        assert rep.lower <= rep.upper
+    assert evaluations and max(evaluations) <= MAX_EVALS
 
 
 def test_integrate_rejects_bad_rel_tol():

@@ -47,6 +47,15 @@ def test_zero_bias_mean_is_third_moment_over_2sigma2():
         m3 / (2.0 * spec.sigma2), rel=1e-8)
 
 
+@pytest.mark.parametrize("base", [Gamma(3.0, 2.0), two_point(1.0, 2.0)],
+                         ids=["continuous", "discrete"])
+def test_zero_bias_expect_takes_vector_integrands(base):
+    zb = zero_bias(centered(base)).star
+    both = zb.expect(lambda x: np.stack([np.cos(x), x * x], -1))
+    assert both == pytest.approx([zb.expect(np.cos), zb.expect(lambda x: x * x)],
+                                 rel=1e-9)
+
+
 def test_zero_bias_identity_mc():
     # E[W phi(W)] = sigma^2 E[phi'(W*)] checked for phi = sin
     d = centered(Uniform(0.0, 2.0))
