@@ -9,7 +9,7 @@ Monte-Carlo / quadrature oracles.  See the README for a tour.
 from .bounds import (BoundReport, HypothesisCheck, SteinCoupling,
                      bound_cacoullos, bound_convex_order, bound_equilibrium,
                      bound_generic, bound_smoothed, bound_zero_bias,
-                     bound_zero_bias_remainder)
+                     bound_zero_bias_remainder, mc_variance)
 from .bayes import (PosteriorModel, posterior_bounds, summarize,
                     update as posterior_update)
 from .distributions import Distribution, make as make_distribution, parse_dist
@@ -20,7 +20,7 @@ from .numerics import Interval, rng_stream
 from .orderings import (check_counting_condition, check_cx, check_nbue_nwue,
                         check_st)
 from .transforms import equilibrium, stop_loss, zero_bias, zero_bias_sum
-from .verify import mc_variance, run_all, run_scenario
+from .verify import run_all, run_scenario
 
 __version__ = "0.1.0"
 

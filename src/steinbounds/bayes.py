@@ -1,16 +1,14 @@
-"""Conjugate posterior updates with closed-form posterior variance bounds.
+"""Conjugate posterior updates with posterior variance bounds.
 
 Nine data/prior pairs are supported.  Each update consumes the pair's
 sufficient summary (not raw data; summarize() computes summaries when raw
 data is at hand), produces the conjugate posterior together with its
-Pearson Stein kernel, and posterior_bounds() evaluates the closed-form
-variance sandwich
+Pearson Stein kernel tau, and posterior_bounds() evaluates the Cacoullos
+sandwich on the posterior (bounds.bound_cacoullos)
 
-    lower_prefactor * E[w(T) g'(T)]^2  <=  Var[g(T)]  <=  upper_const * E[w(T) g'(T)^2]
+    E[tau(T) g'(T)]^2 / Var[T]  <=  Var[g(T)]  <=  E[tau(T) g'(T)^2],
 
-where the kernel factors as tau(t) = upper_const * w(t).  The same values
-are recoverable through bound_cacoullos on (posterior, kernel); the report
-diagnostics carry that cross-check.
+withholding the lower side where Var[T] is undefined.
 
 Pairs and updates (prior parameters alpha, beta unless noted):
 
@@ -33,12 +31,11 @@ docstring).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_N_MC, BoundReport, _attach_mc, bound_cacoullos
+from .bounds import DEFAULT_N_MC, BoundReport, bound_cacoullos
 from .distributions import (Beta, Distribution, Gamma, Gaussian,
                             InverseGamma, Pareto)
 from .exprfn import TestFunction
@@ -240,67 +237,16 @@ def flat_prior_model(pair: str, data_summary: dict) -> PosteriorModel:
 
 # ------------------------------------------------------------------- bounds
 
-def _sandwich_pieces(m: PosteriorModel):
-    """(w, upper_const, lower_prefactor | None) with tau = upper_const * w.
-
-    lower_prefactor is None when the posterior variance is undefined
-    (heavy-tailed posterior with too small a shape), in which case the
-    lower bound is withheld.
-    """
-    post = m.posterior
-    fam = post.family
-    if fam == "gaussian":
-        v = float(post.params[1])
-        return (lambda t: np.ones_like(np.asarray(t, dtype=float)), v, v)
-    if fam == "beta":
-        a, b = post.params
-        return (lambda t: t * (1.0 - t), 1.0 / (a + b), (a + b + 1.0) / (a * b))
-    if fam == "gamma":
-        shape, rate = post.params
-        return (lambda t: np.asarray(t, dtype=float), 1.0 / rate, 1.0 / shape)
-    if fam == "inverse-gamma":
-        a, b = post.params
-        low = (a - 2.0) / (b * b) if a > 2 else None
-        return (lambda t: np.asarray(t, dtype=float) ** 2, 1.0 / (a - 1.0), low)
-    if fam == "pareto":
-        a, mm = post.params
-        low = (a - 2.0) / (a * mm * mm) if a > 2 else None
-        return (lambda t: t * (t - mm), 1.0 / (a - 1.0), low)
-    raise BayesError(f"no closed sandwich for posterior family {fam!r}")
-
-
 def posterior_bounds(m: PosteriorModel, g: TestFunction,
                      rel_tol: float = 1e-9, n_mc: int = DEFAULT_N_MC,
-                     seed: int = 0, cross_check: bool = True) -> BoundReport:
-    """Closed-form posterior variance sandwich evaluated by quadrature.
-
-    lower_prefactor * E[w g']^2 <= Var[g(T)] <= upper_const * E[w (g')^2],
-    with tau = upper_const * w the posterior's Pearson kernel.  With
-    cross_check=True the diagnostics carry the bound_cacoullos values for
-    the same (posterior, kernel, g), which coincide by construction.
-    """
-    post = m.posterior
-    w, upper_c, lower_pre = _sandwich_pieces(m)
-    e_wg2 = post.expect(lambda t: w(t) * g.g1(t) ** 2, rel_tol=rel_tol)
-    e_wg = post.expect(lambda t: w(t) * g.g1(t), rel_tol=rel_tol)
-    upper = upper_c * e_wg2
-    lower = None if lower_pre is None else lower_pre * e_wg * e_wg
-    diagnostics = {}
-    # the Cacoullos lower bound divides by Var[posterior], so the
-    # cross-check is only defined when that variance exists
-    if cross_check and lower_pre is not None:
-        cac = bound_cacoullos(post, m.kernel, g, rel_tol=rel_tol,
-                              n_mc=2, seed=seed)
-        diagnostics["cacoullos_lower"] = cac.lower
-        diagnostics["cacoullos_upper"] = cac.upper
-    report = BoundReport(
-        method=f"posterior-{m.pair}", lower=lower, upper=upper,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        diagnostics=diagnostics,
-        meta={"pair": m.pair, "seed": seed, "n_mc": n_mc,
-              "rel_tol": rel_tol, "route": "quadrature", "g": g.source,
-              "posterior": repr(post),
-              **({"note": m.note} if m.note else {}),
-              **({"lower_note": "posterior variance undefined; lower withheld"}
-                 if lower_pre is None else {})})
-    return _attach_mc(report, post, g, seed, n_mc)
+                     seed: int = 0) -> BoundReport:
+    """The Cacoullos sandwich on the posterior with its Pearson kernel,
+    E[tau g']^2 / Var[T] <= Var[g(T)] <= E[tau (g')^2], reported as method
+    posterior-<pair>.  The lower side is withheld where the posterior
+    variance is undefined."""
+    report = bound_cacoullos(m.posterior, m.kernel, g, rel_tol=rel_tol,
+                             n_mc=n_mc, seed=seed)
+    report.method = f"posterior-{m.pair}"
+    report.meta.update(pair=m.pair, posterior=repr(m.posterior),
+                       **({"note": m.note} if m.note else {}))
+    return report

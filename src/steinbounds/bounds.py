@@ -1,26 +1,38 @@
-"""Variance bounds for g(W) built from Stein couplings.
+"""Variance bounds for g(W) from one coupling inequality.
 
-Every bound comes back as a BoundReport carrying the bound values, the
-grid-checked hypothesis verdicts that gate them, a Monte-Carlo variance
-estimate with a 99% confidence halfwidth (None when E[g(W)^4] is infinite),
-and enough metadata to reproduce the run.  A bound whose hypothesis fails
-is withheld: the lower/upper field stays None and the numeric value moves
-to the diagnostics map.
+If E[W phi(W)] = E[T1 phi'(T2)] for every smooth phi, and the weight T1 is
+a function w(T2) of T2, then
 
-Bounds implemented:
+    E[w(T2) g'(T2)]^2 / var_w  <=  Var[g(W)]  <=  E[w(T2) g'(T2)^2],
 
-* bound_generic        - E[T1/gamma'(T2) g'(T2)^2] upper and
-                         (E[T1 g'(T2)])^2 / Var[gamma(W)] lower, for an
-                         arbitrary coupling (gamma, T1, T2);
-* bound_cacoullos      - E[tau g']^2 / Var[W] <= Var[g(W)] <= E[tau (g')^2];
-* bound_zero_bias      - sigma^2 E[g'(W*)]^2 <= Var[g(W)] <= sigma^2 E[g'(W*)^2];
-* bound_zero_bias_remainder - sigma^2 E[g'(W)^2] + 2 sigma^2 ||g'g''|| E|W*-W|;
-* bound_convex_order   - Var[g(W)] <= sigma^2 E[g'(W)^2] when W* <=_cx W and
-                         g'^2 is convex;
-* bound_equilibrium    - branch (a) upper lambda^-1 E[W g'(W)^2], branch (b)
-                         lower (E[W g'(W)])^2 / (lambda^2 Var[W]), gated by
-                         NBUE/NWUE and monotonicity hypotheses;
-* bound_smoothed       - claims (i)/(ii) through the Gaussian-smoothed law.
+with var_w = Var[W].  Every bound_* below except bound_generic is this
+inequality for one law of T2, one weight w and one var_w, evaluated by
+_bound:
+
+    method               law of T2   weight w    var_w
+    cacoullos            W           tau         Var[W]
+    zero-bias            W*          sigma^2     sigma^2
+    zero-bias-remainder  W           sigma^2     -          (upper, plus the
+                                                 remainder 2 sigma^2 ||g'g''|| E|W*-W|)
+    convex               W           sigma^2     -          (upper)
+    equilibrium-a / -b   W           x/lambda    Var[W]     (upper / lower)
+    smoothed-i / -ii     Y+Z         tau_eps     Var[Y+Z]   (upper / lower)
+
+The conjugate posterior bounds of bayes are cacoullos on the posterior
+with its Pearson kernel.  METHOD_SIDES names the sides each method
+promises.  _bound computes them as one vector-valued expectation over the
+law of T2 (a one-sided method evaluates only its own side), then:
+
+* withholds the lower side, with meta.lower_note, unless 0 < var_w < inf;
+* raises NonFiniteError on any non-finite bound value;
+* attaches the Monte-Carlo variance of g(W), with its standard error and
+  99% confidence halfwidth (None when E[g(W)^4] is infinite);
+* withholds every promised side when a required hypothesis fails: the
+  side stays None and its value moves to the diagnostics map.
+
+bound_generic evaluates an arbitrary coupling (gamma, T1, T2) by Monte
+Carlo: E[T1/gamma'(T2) g'(T2)^2] upper and (E[T1 g'(T2)])^2 / Var[gamma(W)]
+lower.
 """
 
 from __future__ import annotations
@@ -43,6 +55,20 @@ HYP_GRID = 256
 HYP_SLACK = 1e-9
 CI99_Z = 2.5758293035489004  # two-sided 99% normal quantile
 DEGENERATE_VAR = 1e-12
+
+# Bound sides each method promises; a promised side coming back None means
+# it was withheld, and the CLI exits with EXIT_WITHHELD.
+METHOD_SIDES = {
+    "cacoullos": ("lower", "upper"),
+    "zero-bias": ("lower", "upper"),
+    "zero-bias-remainder": ("upper",),
+    "convex": ("upper",),
+    "equilibrium-a": ("upper",),
+    "equilibrium-b": ("lower",),
+    "smoothed-i": ("upper",),
+    "smoothed-ii": ("lower",),
+    "generic": ("lower", "upper"),
+}
 
 
 class BoundError(Exception):
@@ -149,28 +175,20 @@ def fourth_moment_infinite(d: Distribution, g) -> bool:
     return bool(4.0 * r >= d.tail_index - 0.05)
 
 
-def _attach_mc(report: BoundReport, d: Distribution, g, seed, n_mc,
-               stream_id=0):
-    """The MC variance of g(W), with its standard error and 99% CI
-    halfwidth, or None for both (and a note) when E[g(W)^4] is infinite."""
-    no_se = fourth_moment_infinite(d, g)
-    var, se, ci = mc_variance(d.sample, g, seed, n_mc, stream_id)
-    report.mc_variance = var
-    report.mc_se, report.mc_ci99 = (None, None) if no_se else (se, ci)
-    if no_se:
-        report.meta["mc_se_note"] = (
-            f"E[g(W)^4] is infinite (tail index {d.tail_index:g}): the "
-            "sample variance has no standard error")
-    report.degenerate = var < DEGENERATE_VAR
-    return report
-
-
 def _expect(d: Distribution, f, rel_tol, seed, n_mc, stream_id):
     """Expectation by quadrature when the law supports it, else MC."""
     if d.has_density or len(d.atoms()[0]):
         return d.expect(f, rel_tol=rel_tol), "quadrature"
     est, _ = d.mc_expect(f, rng_stream(seed, stream_id), n_mc)
     return est, "mc"
+
+
+def _variance(d: Distribution) -> float:
+    """Var[W], or nan where the law has none."""
+    try:
+        return d.var()
+    except DistributionError:
+        return math.nan
 
 
 def _hyp_grid(d: Distribution, grid_size: int = HYP_GRID):
@@ -203,12 +221,62 @@ def _monotone_check(name, values, grid, increasing: bool, note=""):
     return HypothesisCheck(name, True, max(worst, 0.0), note=note)
 
 
-def _withhold(report: BoundReport, side: str):
-    """Move a gated bound value into diagnostics when hypotheses fail."""
+def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
+           mc_law: Distribution, checks=(), *, rel_tol, n_mc, seed,
+           stream=2, remainder=None, diagnostics=None, meta=None):
+    """The sandwich E[w g']^2 / var_w <= Var[g(W)] <= E[w g'^2] (+ remainder)
+    over T2 ~ law, for the sides METHOD_SIDES[method] promises.
+
+    weight is w as a function of T2, or a constant, which then multiplies
+    the expectations.  They are one expectation of an (n, m) integrand, by
+    quadrature, or by MC on stream `stream` for a law with neither density
+    nor atoms.  The Monte-Carlo oracle is Var[g] on mc_law, and checks are
+    the hypotheses that gate every promised side.
+    """
+    sides = METHOD_SIDES[method]
+    scale, w = (1.0, weight) if callable(weight) else (weight, None)
+
+    def f(x):
+        g1 = np.asarray(g.g1(x), dtype=float)
+        wx = 1.0 if w is None else w(x)
+        cols = [wx * g1 if side == "lower" else wx * g1**2 for side in sides]
+        return cols[0] if len(cols) == 1 else np.stack(cols, axis=-1)
+
+    moments, route = _expect(law, f, rel_tol, seed, n_mc, stream)
+    moments = dict(zip(sides, scale * np.atleast_1d(moments)))
+    meta = {"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol, "route": route,
+            **(meta or {}), "g": g.source}
+    lower = upper = None
+    if "lower" in moments:
+        if 0.0 < var_w < math.inf:
+            lower = float(moments["lower"] * moments["lower"] / var_w)
+        else:
+            meta["lower_note"] = (f"variance {var_w:g} is not in (0, inf): the "
+                                  "lower bound divides by it and is withheld")
+    if "upper" in moments:
+        upper = float(moments["upper"] if remainder is None
+                      else moments["upper"] + remainder)
+    if not all(math.isfinite(v) for v in (lower, upper) if v is not None):
+        raise NonFiniteError(f"{method} bound is not finite: g or the "
+                             f"weight overflows under {law!r}")
+
+    var, se, ci = mc_variance(mc_law.sample, g, seed, n_mc)
+    if fourth_moment_infinite(mc_law, g):
+        se = ci = None
+        meta["mc_se_note"] = (
+            f"E[g(W)^4] is infinite (tail index {mc_law.tail_index:g}): the "
+            "sample variance has no standard error")
+    report = BoundReport(
+        method="convex-order" if method == "convex" else method,
+        lower=lower, upper=upper, mc_variance=var, mc_ci99=ci, mc_se=se,
+        hypothesis_checks=list(checks), remainder=remainder,
+        degenerate=var < DEGENERATE_VAR, diagnostics=diagnostics or {},
+        meta=meta)
     if not report.hypotheses_hold:
-        value = getattr(report, side)
-        report.diagnostics[f"withheld_{side}"] = value
-        setattr(report, side, None)
+        for side in sides:
+            if getattr(report, side) is not None:
+                report.diagnostics[f"withheld_{side}"] = getattr(report, side)
+                setattr(report, side, None)
     return report
 
 
@@ -282,38 +350,22 @@ def bound_generic(c: SteinCoupling, g: TestFunction,
               "direction": c.direction, "g": g.source})
 
 
-# --------------------------------------------------------------- cacoullos
+# ------------------------------------------------------ kernel and zero-bias
 
 def bound_cacoullos(d: Distribution, k: SteinKernel, g: TestFunction,
                     rel_tol: float = DEFAULT_REL_TOL,
                     n_mc: int = DEFAULT_N_MC, seed: int = 0) -> BoundReport:
     """E[tau g']^2 / Var[W] <= Var[g(W)] <= E[tau (g')^2]."""
-    e_tg2, route = _expect(d, lambda x: k(x) * g.g1(x)**2, rel_tol, seed, n_mc, 2)
-    e_tg, _ = _expect(d, lambda x: k(x) * g.g1(x), rel_tol, seed, n_mc, 3)
-    var_w = d.var()
-    report = BoundReport(
-        method="cacoullos", lower=e_tg * e_tg / var_w, upper=e_tg2,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
-              "route": route, "kernel": k.provenance, "g": g.source})
-    return _attach_mc(report, d, g, seed, n_mc)
+    return _bound("cacoullos", d, k, g, _variance(d), d, rel_tol=rel_tol,
+                  n_mc=n_mc, seed=seed, meta={"kernel": k.provenance})
 
-
-# --------------------------------------------------------------- zero-bias
 
 def bound_zero_bias(zb: ZeroBiasSpec, g: TestFunction,
                     rel_tol: float = DEFAULT_REL_TOL,
                     n_mc: int = DEFAULT_N_MC, seed: int = 0) -> BoundReport:
     """sigma^2 E[g'(W*)]^2 <= Var[g(W)] <= sigma^2 E[g'(W*)^2]."""
-    star, s2 = zb.star, zb.sigma2
-    e_g1sq = star.expect(lambda x: g.g1(x)**2, rel_tol=rel_tol)
-    e_g1 = star.expect(lambda x: g.g1(x), rel_tol=rel_tol)
-    report = BoundReport(
-        method="zero-bias", lower=s2 * e_g1 * e_g1, upper=s2 * e_g1sq,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
-              "route": "quadrature", "g": g.source})
-    return _attach_mc(report, zb.base, g, seed, n_mc)
+    return _bound("zero-bias", zb.star, zb.sigma2, g, zb.sigma2, zb.base,
+                  rel_tol=rel_tol, n_mc=n_mc, seed=seed)
 
 
 def bound_zero_bias_remainder(d: Distribution, g: TestFunction,
@@ -324,31 +376,27 @@ def bound_zero_bias_remainder(d: Distribution, g: TestFunction,
                               seed: int = 0) -> BoundReport:
     """Var[g(W)] <= sigma^2 E[g'(W)^2] + 2 sigma^2 ||g'g''|| E|W* - W|.
 
-    E|W* - W| is taken from e_abs_gap when supplied, otherwise estimated
-    by MC from an explicit sum coupling.  The remainder field carries the
-    full 2 sigma^2 ||g'g''|| E|W*-W| term; ||g'g''|| is the grid estimate
-    attached to g, reported as an estimate rather than a proven sup.
+    E|W* - W| is taken from e_abs_gap when supplied (finite and >= 0),
+    otherwise estimated by MC from an explicit sum coupling.  The remainder
+    field carries the full 2 sigma^2 ||g'g''|| E|W*-W| term; ||g'g''|| is
+    the grid estimate attached to g, reported as an estimate rather than a
+    proven sup.
     """
     gap_se = 0.0
     if e_abs_gap is None:
         if coupling is None:
             raise MissingGap("supply e_abs_gap or a SumZeroBiasCoupling")
         e_abs_gap, gap_se = coupling.mean_abs_gap(rng_stream(seed, 4), n_mc)
+    if not 0.0 <= e_abs_gap < math.inf:
+        raise BoundError(f"E|W* - W| must be finite and >= 0, got {e_abs_gap}")
     if not math.isfinite(g.sup_g1g2):
         raise BoundError("||g'g''|| estimate is not finite for this g")
     s2 = d.var()
-    e_g1sq, route = _expect(d, lambda x: g.g1(x)**2, rel_tol, seed, n_mc, 5)
-    remainder = 2.0 * s2 * g.sup_g1g2 * e_abs_gap
-    report = BoundReport(
-        method="zero-bias-remainder", lower=None,
-        upper=s2 * e_g1sq + remainder,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        remainder=remainder,
-        diagnostics={"e_abs_gap": e_abs_gap, "e_abs_gap_se": gap_se,
-                     "sup_g1g2": g.sup_g1g2},
-        meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
-              "route": route, "g": g.source})
-    return _attach_mc(report, d, g, seed, n_mc)
+    return _bound("zero-bias-remainder", d, s2, g, None, d, rel_tol=rel_tol,
+                  n_mc=n_mc, seed=seed, stream=5,
+                  remainder=2.0 * s2 * g.sup_g1g2 * e_abs_gap,
+                  diagnostics={"e_abs_gap": e_abs_gap, "e_abs_gap_se": gap_se,
+                               "sup_g1g2": g.sup_g1g2})
 
 
 # ------------------------------------------------------------- convex order
@@ -376,16 +424,8 @@ def bound_convex_order(d: Distribution, g: TestFunction,
     grid = _hyp_grid(d)
     checks.append(_second_diff_check("g-prime-squared-convex",
                                      np.asarray(g.g1(grid))**2, grid, +1))
-    s2 = d.var()
-    e_g1sq, route = _expect(d, lambda x: g.g1(x)**2, rel_tol, seed, n_mc, 6)
-    report = BoundReport(
-        method="convex-order", lower=None, upper=s2 * e_g1sq,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        hypothesis_checks=checks,
-        meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
-              "route": route, "g": g.source})
-    _attach_mc(report, d, g, seed, n_mc)
-    return _withhold(report, "upper")
+    return _bound("convex", d, d.var(), g, None, d, checks, rel_tol=rel_tol,
+                  n_mc=n_mc, seed=seed, stream=6)
 
 
 # ------------------------------------------------------------- equilibrium
@@ -449,23 +489,9 @@ def bound_equilibrium(d: Distribution, g: TestFunction, branch: str,
                         note="ordering verdict paired with the matching "
                              "monotonicity direction"),
     ]
-
-    lower = upper = None
-    if branch == "a":
-        e_wg2, route = _expect(d, lambda x: x * g.g1(x)**2, rel_tol, seed,
-                               n_mc, 7)
-        upper = e_wg2 / lam
-    else:
-        e_wg, route = _expect(d, lambda x: x * g.g1(x), rel_tol, seed, n_mc, 7)
-        lower = e_wg * e_wg / (lam * lam * d.var())
-    report = BoundReport(
-        method=f"equilibrium-{branch}", lower=lower, upper=upper,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        hypothesis_checks=checks,
-        meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
-              "route": route, "lambda": lam, "g": g.source})
-    _attach_mc(report, d, g, seed, n_mc)
-    return _withhold(report, "upper" if branch == "a" else "lower")
+    return _bound(f"equilibrium-{branch}", d, lambda x: x / lam, g,
+                  _variance(d), d, checks, rel_tol=rel_tol, n_mc=n_mc,
+                  seed=seed, stream=7, meta={"lambda": lam})
 
 
 # --------------------------------------------------------------- smoothed
@@ -478,37 +504,21 @@ def bound_smoothed(s: SmoothedSpec, g: TestFunction, claim: str,
     Claim 'i' (upper): Var[g(Y)] <= E[tau_eps(Y+Z) g'(Y+Z)^2], gated on
     grid-convexity of (g(x) - E[g(Y+Z)])^2.  Claim 'ii' (lower):
     Var[g(Y)] >= E[tau_eps(Y+Z) g'(Y+Z)]^2 / (eps^2 + Var[Y]), gated on
-    grid-concavity of (g(x) - E[g(Y)])^2.
+    grid-concavity of (g(x) - E[g(Y)])^2.  The MC oracle is the unsmoothed
+    Var[g(Y)].
     """
     if claim not in ("i", "ii"):
         raise BoundError(f"claim must be 'i' or 'ii', got {claim!r}")
     conv = s.convolved
-    base = s.base
-    k = smoothed_kernel(s)
     grid = _hyp_grid(conv)
-
-    checks = []
-    lower = upper = None
     if claim == "i":
-        e_g_conv = conv.expect(lambda x: g.g(x), rel_tol=rel_tol)
-        shifted = (np.asarray(g.g(grid), dtype=float) - e_g_conv)**2
-        checks.append(_second_diff_check("shifted-square-convex", shifted,
-                                         grid, +1))
-        upper = conv.expect(lambda x: k(x) * g.g1(x)**2, rel_tol=rel_tol)
+        centre = conv.expect(lambda x: g.g(x), rel_tol=rel_tol)
     else:
-        e_g_base, _ = _expect(base, lambda x: g.g(x), rel_tol, seed, n_mc, 8)
-        shifted = (np.asarray(g.g(grid), dtype=float) - e_g_base)**2
-        checks.append(_second_diff_check("shifted-square-concave", shifted,
-                                         grid, -1))
-        e_kg = conv.expect(lambda x: k(x) * g.g1(x), rel_tol=rel_tol)
-        lower = e_kg * e_kg / (s.epsilon**2 + base.var())
-
-    report = BoundReport(
-        method=f"smoothed-{claim}", lower=lower, upper=upper,
-        mc_variance=math.nan, mc_ci99=math.nan, mc_se=math.nan,
-        hypothesis_checks=checks,
-        meta={"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol,
-              "route": "quadrature", "epsilon": s.epsilon, "g": g.source})
-    # mc_variance targets the *unsmoothed* Var[g(Y)]
-    _attach_mc(report, base, g, seed, n_mc)
-    return _withhold(report, "upper" if claim == "i" else "lower")
+        centre, _ = _expect(s.base, lambda x: g.g(x), rel_tol, seed, n_mc, 8)
+    shifted = (np.asarray(g.g(grid), dtype=float) - centre)**2
+    check = (_second_diff_check("shifted-square-convex", shifted, grid, +1)
+             if claim == "i" else
+             _second_diff_check("shifted-square-concave", shifted, grid, -1))
+    return _bound(f"smoothed-{claim}", conv, smoothed_kernel(s), g,
+                  conv.var(), s.base, [check], rel_tol=rel_tol, n_mc=n_mc,
+                  seed=seed, meta={"epsilon": s.epsilon})

@@ -9,7 +9,8 @@ Subcommands:
   verify     run the regression scenario catalog.
 
 Exit codes: 0 success, 2 invalid input (parse/usage), 3 a requested bound
-was withheld because a hypothesis failed, 4 numerical failure, 5 a verify
+was withheld because a hypothesis failed or its lower side divides by a
+variance that is zero or undefined, 4 numerical failure, 5 a verify
 assertion failed.
 
 The default seed is 0, overridable by the STEIN_BOUNDS_SEED environment
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -30,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from . import bayes, verify as verify_mod
-from .bounds import (BoundError, MissingGap, SteinCoupling,
+from .bounds import (METHOD_SIDES, BoundError, MissingGap, SteinCoupling,
                      bound_cacoullos, bound_convex_order, bound_equilibrium,
                      bound_generic, bound_smoothed, bound_zero_bias,
                      bound_zero_bias_remainder)
@@ -48,21 +50,6 @@ EXIT_NUMERIC = 4
 EXIT_ASSERTION = 5
 
 SCHEMA_VERSION = 1
-
-# bound sides each method promises; a promised side coming back None means
-# a gating hypothesis failed and the process exits with EXIT_WITHHELD.
-METHOD_SIDES = {
-    "cacoullos": ("lower", "upper"),
-    "zero-bias": ("lower", "upper"),
-    "zero-bias-remainder": ("upper",),
-    "convex": ("upper",),
-    "equilibrium-a": ("upper",),
-    "equilibrium-b": ("lower",),
-    "smoothed-i": ("upper",),
-    "smoothed-ii": ("lower",),
-    "generic": ("lower", "upper"),
-}
-
 
 class CLIError(Exception):
     """Invalid input detected past argparse; mapped to exit code 2."""
@@ -82,6 +69,8 @@ def _checked(kind, ok, what):
 N_MC = _checked(int, lambda n: n >= 2, "an integer >= 2")
 REL_TOL = _checked(float, lambda t: 0.0 < t <= 1e-2, "in (0, 1e-2]")
 GRID_POINTS = _checked(int, lambda n: n >= 16, "an integer >= 16")
+GAP = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+EPSILON = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
 def load_schema() -> dict:
@@ -290,8 +279,7 @@ def cmd_bound(args) -> int:
                    {"dist": args.dist, "g": g.source, "method": method,
                     "n_mc": args.n_mc, "rel_tol": args.rel_tol},
                    rep), args, lines, csv_text=_bound_csv(rep, seed))
-    withheld = any(getattr(report, side) is None
-                   for side in METHOD_SIDES[method])
+    withheld = any(getattr(report, side) is None for side in sides)
     return EXIT_WITHHELD if withheld else EXIT_OK
 
 
@@ -383,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--grid-points", type=GRID_POINTS, default=512,
                    help="nodes of the tail-moment table behind the integral "
                         "route (at least 16)")
-    k.add_argument("--epsilon", type=float, default=None,
+    k.add_argument("--epsilon", type=EPSILON, default=None,
                    help="noise scale for the smoothed route")
     common(k)
     k.set_defaults(fn=cmd_kernel)
@@ -393,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--g", default=None, help="g as an expression in x")
     b.add_argument("--g-named", default=None, help="named built-in g")
     b.add_argument("--method", required=True, choices=sorted(METHOD_SIDES))
-    b.add_argument("--epsilon", type=float, default=None,
+    b.add_argument("--epsilon", type=EPSILON, default=None,
                    help="noise scale for the smoothed methods")
-    b.add_argument("--gap", type=float, default=None,
+    b.add_argument("--gap", type=GAP, default=None,
                    help="E|W* - W| for zero-bias-remainder")
     b.add_argument("--n-mc", type=N_MC, default=10**6)
     b.add_argument("--rel-tol", type=REL_TOL, default=1e-6)

@@ -29,8 +29,9 @@ PROB_LEVELS = np.concatenate([_TAIL_LEVELS, np.linspace(0.05, 0.95, 23),
 
 def _weigh(w, y):
     """n weights w times the values y of f at n points (scalars, vectors or
-    one constant)."""
-    return (np.asarray(y, dtype=float).T * w).T
+    one constant); a term whose weight is 0 is 0, even where f overflows."""
+    y = np.where(np.asarray(w) == 0, 0.0, np.asarray(y, dtype=float).T)
+    return (y * w).T
 
 
 class DistributionError(Exception):
@@ -133,12 +134,13 @@ class Distribution:
         return total
 
     def mc_expect(self, f, rng, n: int):
-        """MC estimate of E[f(X)]: (estimate, standard error)."""
+        """MC estimate of E[f(X)]: (estimate, standard error), each with one
+        value per column when f returns an (n, m) array."""
         x = self.sample(rng, n)
         y = np.asarray(f(x), dtype=float)
         if not np.all(np.isfinite(y)):
             raise DistributionError("non-finite sample encountered")
-        return float(np.mean(y)), float(np.std(y, ddof=1) / math.sqrt(n))
+        return np.mean(y, axis=0), np.std(y, axis=0, ddof=1) / math.sqrt(n)
 
     def describe(self):
         return {"family": self.family, "params": [float(p) for p in self.params]}
@@ -286,7 +288,8 @@ class Uniform(_ScipyDistribution):
 # --------------------------------------------------------- discrete families
 
 class DiscreteDistribution(Distribution):
-    """Finite support: atoms (values, probs)."""
+    """Finite support: atoms (values, probs), equal values merged into one
+    atom carrying their summed probability."""
 
     family = "discrete-empirical"
     has_cdf = True
@@ -300,9 +303,8 @@ class DiscreteDistribution(Distribution):
             raise InvalidParameter("atoms and probabilities must align and be nonempty")
         if np.any(probs < -1e-15) or abs(probs.sum() - 1.0) > 1e-9:
             raise InvalidParameter("probabilities must be nonnegative and sum to 1")
-        order = np.argsort(values)
-        self._values = values[order]
-        self._probs = np.maximum(probs[order], 0.0)
+        self._values, idx = np.unique(values, return_inverse=True)
+        self._probs = np.bincount(idx, weights=np.maximum(probs, 0.0))
         self._probs /= self._probs.sum()
         self._cum = np.cumsum(self._probs)
         if family:
@@ -625,11 +627,9 @@ class PermutationStatistic(Distribution):
         return self._var
 
     def sample(self, rng, size):
-        rows = np.arange(self.n)
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = self.a[rows, rng.permutation(self.n)].sum()
-        return out
+        """Each row of argsort(uniforms) is a uniform random permutation."""
+        perms = np.argsort(rng.random((size, self.n)), axis=1)
+        return self.a[np.arange(self.n), perms].sum(axis=1)
 
     def enumerate_values(self):
         """All n! values of W; feasible for n <= 9."""

@@ -91,16 +91,27 @@ def test_lower_withheld_when_variance_undefined():
     assert "lower_note" in rep.meta
 
 
-def test_cross_check_diagnostics():
+def test_poisson_gamma_sandwich_closed_form():
+    # posterior Gamma(13, 6), tau(t) = t/6; g = x + x^2/8 has g' = 1 + x/4
     m = update("poisson-gamma", {"alpha": 2.0, "beta": 1.0},
                {"n": 5, "sum": 11.0})
+    assert m.posterior.params == (13.0, 6.0)
     g = make_test_function("x + x^2/8",
                            m.posterior.effective_interval(1e-9))
     rep = posterior_bounds(m, g, n_mc=10**4, seed=0)
-    assert rep.diagnostics["cacoullos_upper"] == pytest.approx(rep.upper,
-                                                               rel=1e-9)
-    assert rep.diagnostics["cacoullos_lower"] == pytest.approx(rep.lower,
-                                                               rel=1e-9)
+    a, b = 13.0, 6.0
+    raw = [1.0]  # E[T^k] = a (a+1) ... (a+k-1) / b^k
+    for k in range(4):
+        raw.append(raw[-1] * (a + k) / b)
+    var_t = raw[2] - raw[1] ** 2
+    upper = (raw[1] + raw[2] / 2 + raw[3] / 16) / 6
+    lower = (raw[1] + raw[2] / 4) ** 2 / (36 * var_t)
+    e_g = raw[1] + raw[2] / 8
+    var_g = raw[2] + raw[3] / 4 + raw[4] / 64 - e_g ** 2
+    assert rep.upper == pytest.approx(upper, rel=1e-9)
+    assert rep.lower == pytest.approx(lower, rel=1e-9)
+    assert rep.lower <= var_g <= rep.upper
+    assert rep.method == "posterior-poisson-gamma"
 
 
 def test_kernel_mean_is_posterior_variance():

@@ -169,3 +169,58 @@ def test_gated_report_has_no_error_bar():
     back = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert back["mc_se"] is None and back["mc_ci99"] is None
     assert math.isfinite(back["mc_variance"])
+
+
+@pytest.mark.parametrize("gap", [-1.0, math.nan, math.inf])
+def test_zero_bias_remainder_rejects_invalid_gap(gap):
+    g = make_test_function("sin(x)", IV8)
+    with pytest.raises(BoundError):
+        bound_zero_bias_remainder(GAUSS, g, e_abs_gap=gap, n_mc=100)
+
+
+class _ShapeRecorder(Gaussian):
+    """A normal law that records the shape of every integrand's values."""
+
+    def __init__(self):
+        super().__init__(0.0, 1.0)
+        self.shapes = set()
+
+    def expect(self, f, rel_tol=1e-9, points=None):
+        def recorded(x):
+            y = f(x)
+            self.shapes.add(np.shape(y)[1:])
+            return y
+        return super().expect(recorded, rel_tol=rel_tol, points=points)
+
+
+def test_one_expectation_per_bound_and_only_promised_columns():
+    g = make_test_function("sin(x)", IV8)
+    two = _ShapeRecorder()
+    rep = bound_cacoullos(two, pearson_kernel(two), g, n_mc=100)
+    assert two.shapes == {(2,)}
+    assert rep.lower is not None and rep.upper is not None
+    one = _ShapeRecorder()
+    bound_convex_order(one, g, n_mc=100)
+    assert one.shapes == {()}
+
+
+def test_cacoullos_matches_scalar_expectations():
+    d = Gamma(3.0, 2.0)
+    k = pearson_kernel(d)
+    g = make_test_function("sin(x)", d.effective_interval(1e-9))
+    rep = bound_cacoullos(d, k, g, rel_tol=1e-9, n_mc=100)
+    e1 = d.expect(lambda x: k(x) * g.g1(x), rel_tol=1e-10)
+    e2 = d.expect(lambda x: k(x) * g.g1(x) ** 2, rel_tol=1e-10)
+    assert rep.upper == pytest.approx(e2, rel=1e-8)
+    assert rep.lower == pytest.approx(e1 * e1 / d.var(), rel=1e-8)
+
+
+def test_bound_on_sampler_only_law_takes_the_mc_route():
+    # a sum of two normals has no density here: one MC expectation with
+    # the identity g and the constant kernel Var[W] gives lower = upper
+    d = sum_of_independents([Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)])
+    k = pearson_kernel(Gaussian(1.0, 3.0))
+    rep = bound_cacoullos(d, k, make_test_function("x", IV8), n_mc=1000)
+    assert rep.meta["route"] == "mc"
+    assert rep.lower == pytest.approx(3.0, rel=1e-12)
+    assert rep.upper == pytest.approx(3.0, rel=1e-12)

@@ -255,3 +255,74 @@ def test_payload_matches_schema(tmp_path, argv):
         # E[W^4] is infinite on Pareto(3): the MC variance has no error bar
         assert payload["results"]["mc_se"] is None
         assert payload["results"]["mc_ci99"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--dist", "normal:0,1", "--g", "sin(x)", "--method",
+     "zero-bias-remainder", "--gap", "-10"],
+    ["bound", "--dist", "normal:0,1", "--g", "sin(x)", "--method",
+     "zero-bias-remainder", "--gap", "nan"],
+    ["bound", "--dist", "two-point:1,1", "--g", "x", "--method",
+     "smoothed-i", "--epsilon", "-1"],
+    ["bound", "--dist", "two-point:1,1", "--g", "x", "--method",
+     "smoothed-ii", "--epsilon", "inf"],
+    ["kernel", "--dist", "two-point:1,1", "--route", "smoothed", "--x", "0",
+     "--epsilon", "0"],
+], ids=["gap-negative", "gap-nan", "epsilon-negative", "epsilon-inf",
+        "kernel-epsilon-zero"])
+def test_invalid_gap_and_epsilon_are_usage_errors(argv, capsys):
+    # a negative gap once printed upper = -9.43 with exit 0
+    assert cli.main(argv + ["--n-mc", "1000"] if argv[0] == "bound"
+                    else argv) == cli.EXIT_USAGE
+    assert "upper" not in capsys.readouterr().out
+
+
+def test_discrete_law_with_repeated_atom(tmp_path):
+    # the two atoms at 1 merge into a point mass (once a ValueError traceback)
+    out = tmp_path / "r.json"
+    code = cli.main(["bound", "--dist", "discrete-empirical:1,0.5,1,0.5",
+                     "--g", "x", "--method", "equilibrium-b", "--n-mc", "1000",
+                     "--out", str(out)])
+    assert code == cli.EXIT_WITHHELD
+    assert read_json(out)["results"]["lower"] is None
+
+
+@pytest.mark.parametrize("dist", ["invgamma:1.5,1", "pareto:2,1"])
+def test_cacoullos_lower_withheld_without_variance(tmp_path, dist):
+    # Var[W] is infinite or undefined: the lower side divides by it
+    out = tmp_path / "r.json"
+    code = cli.main(["bound", "--dist", dist, "--g", "x/(1+x^2)", "--method",
+                     "cacoullos", "--n-mc", "10000", "--out", str(out)])
+    assert code == cli.EXIT_WITHHELD
+    rep = read_json(out)["results"]
+    assert rep["lower"] is None
+    assert "lower_note" in rep["meta"]
+    assert math.isfinite(rep["upper"])
+    if dist.startswith("invgamma"):
+        post = tmp_path / "p.json"
+        assert cli.main(["posterior", "--pair", "gaussian-var", "--alpha",
+                         "1.5", "--beta", "1", "--n", "0", "--g", "x/(1+x^2)",
+                         "--n-mc", "10000", "--out", str(post)]) == cli.EXIT_OK
+        bounds = read_json(post)["results"]["bounds"]
+        assert bounds["lower"] is None
+        assert bounds["upper"] == pytest.approx(rep["upper"], rel=1e-9)
+
+
+def test_equilibrium_lower_on_point_mass_is_withheld(tmp_path, recwarn):
+    out = tmp_path / "r.json"
+    code = cli.main(["bound", "--dist", "point-mass:1", "--g", "x", "--method",
+                     "equilibrium-b", "--n-mc", "1000", "--out", str(out)])
+    assert code == cli.EXIT_WITHHELD
+    assert "lower_note" in read_json(out)["results"]["meta"]
+    assert not [w for w in recwarn if "divide" in str(w.message)]
+
+
+def test_equilibrium_lower_where_g_overflows_off_the_density(tmp_path):
+    # g' = exp(x/2) overflows where the Exp(1) density is 0; those terms are
+    # 0, so E[W g'(W)] = 4, and lower = 4^2 / (lambda^2 Var[W]) = 16
+    out = tmp_path / "r.json"
+    code = cli.main(["bound", "--dist", "exp:1", "--g", "2*exp(x/2)",
+                     "--method", "equilibrium-b", "--n-mc", "1000",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert read_json(out)["results"]["lower"] == pytest.approx(16.0, rel=1e-8)

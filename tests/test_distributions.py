@@ -150,3 +150,36 @@ def test_expect_requires_density_or_atoms():
 
     with pytest.raises(DistributionError):
         Opaque(1.0).expect(lambda x: x)
+
+
+def test_discrete_merges_equal_atoms():
+    d = parse_dist("discrete-empirical:1,0.25,-1,0.5,1,0.25")
+    vals, probs = d.atoms()
+    assert list(vals) == [-1.0, 1.0]
+    assert list(probs) == [0.5, 0.5]
+    assert parse_dist("discrete-empirical:2,0.5,2,0.5").var() == 0.0
+
+
+def test_expect_zero_density_weight_ignores_overflow():
+    # x exp(x/2) overflows where the Exp(1) density has underflowed to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = Exponential(1.0).expect(lambda x: x * np.exp(x / 2))
+    assert value == pytest.approx(4.0, rel=1e-9)
+
+
+def test_mc_expect_vector_valued():
+    d = sum_of_independents([Gaussian(0.0, 1.0), Exponential(2.0)])
+    est, se = d.mc_expect(lambda x: np.stack([x, x * x], axis=-1),
+                          rng_stream(0, 0), 10**5)
+    assert est.shape == se.shape == (2,)
+    # E[W] = 0.5, E[W^2] = Var + mean^2 = 1.25 + 0.25
+    assert est == pytest.approx([0.5, 1.5], abs=5 * se.max())
+
+
+def test_permutation_sample_is_uniform_over_permutations():
+    a = 2.0 ** np.arange(9.0).reshape(3, 3)  # distinct sums per permutation
+    stat = permutation_statistic(a)
+    draws = stat.sample(rng_stream(0, 0), 60000)
+    values, counts = np.unique(draws, return_counts=True)
+    assert sorted(values) == sorted(stat.enumerate_values())
+    assert np.allclose(counts / 60000, 1.0 / 6.0, atol=0.01)
