@@ -44,10 +44,10 @@ import numpy as np
 
 from .distributions import Distribution, DistributionError
 from .exprfn import TestFunction
-from .kernels import SteinKernel, SmoothedSpec, smoothed_kernel
+from .kernels import SmoothedDistribution, SteinKernel, smoothed_kernel
 from .numerics import NonFiniteError, NumericsError, rng_stream
 from .orderings import check_cx, check_nbue_nwue
-from .transforms import ZeroBiasSpec, zero_bias
+from .transforms import ZeroBiasDistribution, zero_bias
 
 DEFAULT_N_MC = 10**6
 DEFAULT_REL_TOL = 1e-6
@@ -239,7 +239,8 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
     def f(x):
         g1 = np.asarray(g.g1(x), dtype=float)
         wx = 1.0 if w is None else w(x)
-        cols = [wx * g1 if side == "lower" else wx * g1**2 for side in sides]
+        with np.errstate(all="ignore"):  # a non-finite bound raises below
+            cols = [wx * g1 if side == "lower" else wx * g1**2 for side in sides]
         return cols[0] if len(cols) == 1 else np.stack(cols, axis=-1)
 
     moments, route = _expect(law, f, rel_tol, seed, n_mc, stream)
@@ -360,11 +361,12 @@ def bound_cacoullos(d: Distribution, k: SteinKernel, g: TestFunction,
                   n_mc=n_mc, seed=seed, meta={"kernel": k.provenance})
 
 
-def bound_zero_bias(zb: ZeroBiasSpec, g: TestFunction,
+def bound_zero_bias(zb: ZeroBiasDistribution, g: TestFunction,
                     rel_tol: float = DEFAULT_REL_TOL,
                     n_mc: int = DEFAULT_N_MC, seed: int = 0) -> BoundReport:
-    """sigma^2 E[g'(W*)]^2 <= Var[g(W)] <= sigma^2 E[g'(W*)^2]."""
-    return _bound("zero-bias", zb.star, zb.sigma2, g, zb.sigma2, zb.base,
+    """sigma^2 E[g'(W*)]^2 <= Var[g(W)] <= sigma^2 E[g'(W*)^2], over the
+    zero-bias law W* of W = zb.base."""
+    return _bound("zero-bias", zb, zb.sigma2, g, zb.sigma2, zb.base,
                   rel_tol=rel_tol, n_mc=n_mc, seed=seed)
 
 
@@ -412,10 +414,9 @@ def bound_convex_order(d: Distribution, g: TestFunction,
     continuous zero-bias stop-loss) and the convexity of g'^2 via second
     differences.  Either failure withholds the bound.
     """
-    zb = zero_bias(d)
-    checks = []
+    star, checks = zero_bias(d), []
     try:
-        verdict = check_cx(zb.star, d, tol=order_tol)
+        verdict = check_cx(star, d, tol=order_tol)
         checks.append(HypothesisCheck("zero-bias-convex-order", verdict.holds,
                                       verdict.max_violation, verdict.witness))
     except (DistributionError, NumericsError) as exc:
@@ -496,29 +497,29 @@ def bound_equilibrium(d: Distribution, g: TestFunction, branch: str,
 
 # --------------------------------------------------------------- smoothed
 
-def bound_smoothed(s: SmoothedSpec, g: TestFunction, claim: str,
+def bound_smoothed(s: SmoothedDistribution, g: TestFunction, claim: str,
                    rel_tol: float = DEFAULT_REL_TOL,
                    n_mc: int = DEFAULT_N_MC, seed: int = 0) -> BoundReport:
     """Bounds on Var[g(Y)] through the smoothed law Y + Z, Z ~ N(0, eps^2).
 
-    Claim 'i' (upper): Var[g(Y)] <= E[tau_eps(Y+Z) g'(Y+Z)^2], gated on
-    grid-convexity of (g(x) - E[g(Y+Z)])^2.  Claim 'ii' (lower):
+    s is the law of Y + Z, and s.base the law of Y.  Claim 'i' (upper):
+    Var[g(Y)] <= E[tau_eps(Y+Z) g'(Y+Z)^2], gated on grid-convexity of
+    (g(x) - E[g(Y+Z)])^2.  Claim 'ii' (lower):
     Var[g(Y)] >= E[tau_eps(Y+Z) g'(Y+Z)]^2 / (eps^2 + Var[Y]), gated on
     grid-concavity of (g(x) - E[g(Y)])^2.  The MC oracle is the unsmoothed
     Var[g(Y)].
     """
     if claim not in ("i", "ii"):
         raise BoundError(f"claim must be 'i' or 'ii', got {claim!r}")
-    conv = s.convolved
-    grid = _hyp_grid(conv)
+    grid = _hyp_grid(s)
     if claim == "i":
-        centre = conv.expect(lambda x: g.g(x), rel_tol=rel_tol)
+        centre = s.expect(lambda x: g.g(x), rel_tol=rel_tol)
     else:
         centre, _ = _expect(s.base, lambda x: g.g(x), rel_tol, seed, n_mc, 8)
     shifted = (np.asarray(g.g(grid), dtype=float) - centre)**2
     check = (_second_diff_check("shifted-square-convex", shifted, grid, +1)
              if claim == "i" else
              _second_diff_check("shifted-square-concave", shifted, grid, -1))
-    return _bound(f"smoothed-{claim}", conv, smoothed_kernel(s), g,
-                  conv.var(), s.base, [check], rel_tol=rel_tol, n_mc=n_mc,
+    return _bound(f"smoothed-{claim}", s, smoothed_kernel(s), g,
+                  s.var(), s.base, [check], rel_tol=rel_tol, n_mc=n_mc,
                   seed=seed, meta={"epsilon": s.epsilon})

@@ -174,6 +174,12 @@ def _fmt(v):
     return "withheld" if v is None else f"{v:.10g}"
 
 
+def _exit_code(report, sides):
+    """EXIT_WITHHELD when a side the method promises was withheld."""
+    withheld = any(getattr(report, side) is None for side in sides)
+    return EXIT_WITHHELD if withheld else EXIT_OK
+
+
 def _mc_line(report, what):
     ci = ("no CI: E[g^4] is infinite" if report.mc_ci99 is None
           else f"99% CI halfwidth {report.mc_ci99:.3g}")
@@ -218,12 +224,12 @@ def cmd_kernel(args) -> int:
 def _generic_from_zero_bias(d, g, n_mc, seed):
     """CLI 'generic' method: the zero-bias coupling (gamma=id, T1=sigma^2,
     T2=W*) evaluated by the Monte-Carlo generic-coupling routine."""
-    spec = zero_bias(d)
-    s2 = spec.sigma2
+    star = zero_bias(d)
+    s2 = star.sigma2
 
     def joint(rng, size):
         w = d.sample(rng, size)
-        t2 = spec.star.sample(rng, size)
+        t2 = star.sample(rng, size)
         return w, np.full(size, s2), t2
 
     coupling = SteinCoupling(gamma=lambda x: x,
@@ -279,8 +285,7 @@ def cmd_bound(args) -> int:
                    {"dist": args.dist, "g": g.source, "method": method,
                     "n_mc": args.n_mc, "rel_tol": args.rel_tol},
                    rep), args, lines, csv_text=_bound_csv(rep, seed))
-    withheld = any(getattr(report, side) is None for side in sides)
-    return EXIT_WITHHELD if withheld else EXIT_OK
+    return _exit_code(report, sides)
 
 
 PRIOR_FLAGS = ("alpha", "beta", "mu", "sigma", "delta", "r", "k")
@@ -308,7 +313,7 @@ def cmd_posterior(args) -> int:
                    {"pair": args.pair, "prior": prior, "summary": summary,
                     "g": g.source, "n_mc": args.n_mc},
                    results), args, lines)
-    return EXIT_OK
+    return _exit_code(report, METHOD_SIDES["cacoullos"])
 
 
 def cmd_verify(args) -> int:

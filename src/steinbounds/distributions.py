@@ -1,8 +1,13 @@
 """Catalog of univariate laws: density/cdf/sampler/moments plus support.
 
 A Distribution may have a continuous part (density), a discrete part
-(atoms), or only a sampler.  Capability flags say which queries are
-answerable; expectation routines pick the exact route when one exists.
+(atoms), or only a sampler.  Its methods are the whole interface of a
+law: a query the law cannot answer raises DistributionError.  The base
+class answers the cdf, quantile and stop-loss of a law that is only atoms,
+samples by the inverse cdf, and reads the stop-loss of a continuous part
+from a tail-moment table; a law with a closed form overrides the method.
+has_density is the one flag, which lets expectations choose quadrature
+over Monte Carlo.
 
 The string syntax "family:p1,p2,..." (shared with the CLI) is parsed by
 parse_dist.
@@ -20,11 +25,17 @@ from .numerics import (Interval, REAL_LINE, TAIL_EDGES, integrate,
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
 TAIL_CHUNK = 16  # points per vectorised density call beyond a table
+STOP_LOSS_NODES = 2048  # nodes of the tail-moment table behind stop_loss
 # Probability levels of a law's quantile grid: half decades in each tail,
 # down to 1e-12, and steps of 0.04 in the bulk.
 _TAIL_LEVELS = np.logspace(-12, -2, 21)
 PROB_LEVELS = np.concatenate([_TAIL_LEVELS, np.linspace(0.05, 0.95, 23),
                               1.0 - _TAIL_LEVELS[::-1]])
+
+
+def _like(x, out):
+    """out, computed at the points x, as a float when x is a scalar."""
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _weigh(w, y):
@@ -45,18 +56,14 @@ class InvalidParameter(DistributionError):
 class Distribution:
     """Base univariate law.
 
-    Subclasses populate family, params, support, and the capability set.
-    Samplers are stateless: they consume a caller-provided numpy Generator.
+    Subclasses populate family, params and support, and set has_density
+    when they define density.  Samplers are stateless: they consume a
+    caller-provided numpy Generator.
     """
 
     family = "abstract"
     params = ()
-
-    # capabilities
     has_density = False
-    has_cdf = False
-    has_sampler = False
-    has_closed_moments = False
 
     support = REAL_LINE
     tail_index = math.inf  # a where P(W > x) ~ x^-a as x -> inf; inf if lighter
@@ -65,7 +72,10 @@ class Distribution:
         raise DistributionError(f"{self.family}: no density")
 
     def cdf(self, x):
-        raise DistributionError(f"{self.family}: no cdf")
+        """P(W <= x) of a law that is only atoms."""
+        vals, cum = self._atom_cum()
+        idx = np.searchsorted(vals, np.asarray(x, dtype=float), side="right")
+        return np.concatenate([[0.0], cum])[idx]
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
@@ -77,7 +87,8 @@ class Distribution:
         raise DistributionError(f"{self.family}: no closed variance")
 
     def sample(self, rng, size):
-        raise DistributionError(f"{self.family}: no sampler")
+        """Draws by the inverse cdf of uniforms."""
+        return self.quantile(rng.uniform(size=size))
 
     def atoms(self):
         """Discrete part as (values, probabilities) arrays; empty if none."""
@@ -88,10 +99,26 @@ class Distribution:
         """Probability mass carried by the continuous part."""
         return 1.0 - float(np.sum(self.atoms()[1]))
 
-    def quantile(self, p: float) -> float:
-        if not self.has_cdf:
-            raise DistributionError(f"{self.family}: no cdf to invert")
-        return inverse_cdf(lambda x: float(self.cdf(x)), p, self.support)
+    def _atom_cum(self):
+        """The atoms and their cumulative probabilities, for a law that is
+        only atoms."""
+        vals, probs = self.atoms()
+        if not len(vals) or self.continuous_weight > 1e-12:
+            raise DistributionError(f"{self.family}: no cdf")
+        return vals, np.cumsum(probs)
+
+    def quantile(self, p):
+        """The inverse cdf at p, a float or an array (a float gives a
+        float): on a law that is only atoms, the first atom whose
+        cumulative probability reaches p; else the root of cdf(x) = p."""
+        try:
+            vals, cum = self._atom_cum()
+        except DistributionError:
+            q = [inverse_cdf(lambda x: float(self.cdf(x)), float(u), self.support)
+                 for u in np.ravel(p)]
+            return _like(p, np.reshape(q, np.shape(p)))
+        idx = np.minimum(np.searchsorted(cum, p, side="left"), len(vals) - 1)
+        return _like(p, vals[idx])
 
     def quantile_grid(self) -> np.ndarray:
         """The quantiles of PROB_LEVELS, computed once per law (empty when
@@ -99,11 +126,28 @@ class Distribution:
         of a tail-moment table."""
         if "_quantile_grid" not in self.__dict__:
             try:
-                q = [self.quantile(p) for p in PROB_LEVELS]
+                q = self.quantile(PROB_LEVELS)
             except DistributionError:
                 q = []
             self._quantile_grid = np.asarray(q, dtype=float)
         return self._quantile_grid
+
+    def stop_loss(self, t):
+        """E[(W - t)_+] at the points of the 1-d array t: the atoms summed,
+        plus U1(t) - t U0(t) from a tail-moment table of the continuous
+        part."""
+        vals, probs = self.atoms()
+        out = np.sum(probs[None, :] * np.maximum(vals[None, :] - t[:, None], 0.0),
+                     axis=1)
+        if self.continuous_weight > 1e-12:
+            if not self.has_density:
+                raise DistributionError(
+                    f"{self.family}: stop-loss needs atoms or a density")
+            eff = self.effective_interval(1e-9)
+            _, _, _, u0, u1, _ = TailMoments(self, eff.lo, eff.hi,
+                                             STOP_LOSS_NODES)(t)
+            out = out + u1 - t * u0
+        return out
 
     def effective_interval(self, tail_mass: float = TAIL_MASS) -> Interval:
         """Quantile range [q(tail_mass), q(1-tail_mass)], clipped to support."""
@@ -154,9 +198,6 @@ class Distribution:
 
 class _ScipyDistribution(Distribution):
     has_density = True
-    has_cdf = True
-    has_sampler = True
-    has_closed_moments = True
 
     def __init__(self, frozen, support):
         self._frozen = frozen
@@ -178,7 +219,7 @@ class _ScipyDistribution(Distribution):
         return float(self._frozen.var())
 
     def quantile(self, p):
-        return float(self._frozen.ppf(p))
+        return _like(p, self._frozen.ppf(p))
 
     def sample(self, rng, size):
         return self._frozen.rvs(size=size, random_state=rng)
@@ -274,6 +315,11 @@ class Exponential(_ScipyDistribution):
     def survival(self, x):
         return np.exp(-self.params[0] * np.maximum(np.asarray(x, float), 0.0))
 
+    def stop_loss(self, t):
+        lam = self.params[0]
+        return np.where(t >= 0, np.exp(-lam * np.maximum(t, 0.0)) / lam,
+                        1.0 / lam - t)
+
 
 class Uniform(_ScipyDistribution):
     family = "uniform"
@@ -284,6 +330,11 @@ class Uniform(_ScipyDistribution):
         self.params = (lo, hi)
         super().__init__(_stats.uniform(lo, hi - lo), Interval(lo, hi))
 
+    def stop_loss(self, t):
+        lo, hi = self.params
+        tc = np.clip(t, lo, hi)
+        return (hi - tc) ** 2 / (2.0 * (hi - lo)) + np.maximum(lo - t, 0.0)
+
 
 # --------------------------------------------------------- discrete families
 
@@ -292,9 +343,6 @@ class DiscreteDistribution(Distribution):
     atom carrying their summed probability."""
 
     family = "discrete-empirical"
-    has_cdf = True
-    has_sampler = True
-    has_closed_moments = True
 
     def __init__(self, values, probs, family=None, params=()):
         values = np.asarray(values, dtype=float)
@@ -306,7 +354,6 @@ class DiscreteDistribution(Distribution):
         self._values, idx = np.unique(values, return_inverse=True)
         self._probs = np.bincount(idx, weights=np.maximum(probs, 0.0))
         self._probs /= self._probs.sum()
-        self._cum = np.cumsum(self._probs)
         if family:
             self.family = family
         self.params = params
@@ -317,12 +364,6 @@ class DiscreteDistribution(Distribution):
     def atoms(self):
         return self._values, self._probs
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._values, x, side="right")
-        cum = np.concatenate([[0.0], self._cum])
-        return cum[idx]
-
     def mean(self):
         return float(np.dot(self._values, self._probs))
 
@@ -332,11 +373,6 @@ class DiscreteDistribution(Distribution):
 
     def sample(self, rng, size):
         return rng.choice(self._values, size=size, p=self._probs)
-
-    def quantile(self, p):
-        idx = int(np.searchsorted(self._cum, p, side="left"))
-        idx = min(idx, len(self._values) - 1)
-        return float(self._values[idx])
 
     def effective_interval(self, tail_mass=TAIL_MASS):
         return Interval(float(self._values[0]), float(self._values[-1])) \
@@ -373,9 +409,6 @@ class GeometricCount(Distribution):
     """P(N = k) = (1 - rho) rho^k on k = 0, 1, 2, ..."""
 
     family = "geometric-count"
-    has_cdf = True
-    has_sampler = True
-    has_closed_moments = True
 
     def __init__(self, rho):
         if not 0 <= rho < 1:
@@ -430,8 +463,6 @@ class SamplerSum(Distribution):
     are finitely discrete."""
 
     family = "convolution"
-    has_sampler = True
-    has_closed_moments = True
 
     def __init__(self, parts):
         if not parts:
@@ -444,8 +475,6 @@ class SamplerSum(Distribution):
         hi = sum(p.support.hi for p in parts)
         self.support = Interval(lo, hi)
         self._atoms = self._convolve_atoms()
-        if self._atoms is not None:
-            self.has_cdf = True
 
     def _convolve_atoms(self):
         if not all(isinstance(p, DiscreteDistribution) for p in self.parts):
@@ -471,22 +500,6 @@ class SamplerSum(Distribution):
             return np.empty(0), np.empty(0)
         return self._atoms
 
-    def cdf(self, x):
-        if self._atoms is None:
-            raise DistributionError("convolution: no cdf without finite atoms")
-        vals, probs = self._atoms
-        cum = np.concatenate([[0.0], np.cumsum(probs)])
-        idx = np.searchsorted(vals, np.asarray(x, dtype=float), side="right")
-        return cum[idx]
-
-    def quantile(self, p):
-        vals, probs = self.atoms()
-        if len(vals):
-            cum = np.cumsum(probs)
-            idx = min(int(np.searchsorted(cum, p, side="left")), len(vals) - 1)
-            return float(vals[idx])
-        return super().quantile(p)
-
     def mean(self):
         return self._mean
 
@@ -508,15 +521,11 @@ class RandomSum(Distribution):
     """W = sum_{i=1}^N X_i with N a count variable independent of the X_i."""
 
     family = "random-sum"
-    has_sampler = True
-    has_closed_moments = True
 
     def __init__(self, count_dist, summand):
         kv, kp = count_dist.atoms()
         if len(kv) == 0 or np.any(kv < -1e-12) or np.any(np.abs(kv - np.round(kv)) > 1e-9):
             raise InvalidParameter("count distribution must sit on nonnegative integers")
-        if not (summand.has_sampler and summand.has_closed_moments):
-            raise InvalidParameter("summand needs sampler and closed moments")
         self.count_dist = count_dist
         self.summand = summand
         self.tail_index = summand.tail_index
@@ -527,15 +536,6 @@ class RandomSum(Distribution):
         self._var = ex * ex * vn + en * vx
         lo = min(0.0, summand.support.lo)
         self.support = Interval(lo, math.inf) if en > 0 else Interval(-0.5, 0.5)
-        # Geometric count + exponential summand has a closed compound form:
-        # an atom at 0 of mass 1-rho plus Exp(rate*(1-rho)) with mass rho.
-        self._geo_exp = None
-        if isinstance(count_dist, GeometricCount) and isinstance(summand, Exponential):
-            rho = count_dist.rho
-            if rho > 0:
-                self._geo_exp = (rho, summand.params[0] * (1.0 - rho))
-                self.has_cdf = True
-                self.has_density = True
 
     def mean(self):
         return self._mean
@@ -544,37 +544,9 @@ class RandomSum(Distribution):
         return self._var
 
     def atoms(self):
-        if self._geo_exp is not None:
-            rho, _ = self._geo_exp
-            return np.array([0.0]), np.array([1.0 - rho])
         if self._mean == 0:
             return np.array([0.0]), np.array([1.0])
         return np.empty(0), np.empty(0)
-
-    def density(self, x):
-        if self._geo_exp is None:
-            raise DistributionError("random-sum: no closed density for this pair")
-        rho, rate = self._geo_exp
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, rho * rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0)
-
-    def survival(self, x):
-        if self._geo_exp is None:
-            raise DistributionError("random-sum: no closed survival for this pair")
-        rho, rate = self._geo_exp
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 1.0, rho * np.exp(-rate * np.maximum(x, 0.0)))
-
-    def cdf(self, x):
-        return 1.0 - self.survival(x)
-
-    def quantile(self, p):
-        if self._geo_exp is None:
-            return super().quantile(p)
-        rho, rate = self._geo_exp
-        if p <= 1.0 - rho:
-            return 0.0
-        return float(-math.log((1.0 - p) / rho) / rate)
 
     def sample(self, rng, size):
         counts = self.count_dist.sample(rng, size).astype(int)
@@ -590,7 +562,48 @@ class RandomSum(Distribution):
         return total
 
 
+class GeometricExponentialSum(RandomSum):
+    """A Geometric(rho) count, rho > 0, of Exponential(rate) summands, in
+    closed form: an atom at 0 of mass 1 - rho plus Exp(rate (1 - rho)) with
+    mass rho.  It samples as a RandomSum."""
+
+    has_density = True
+
+    def __init__(self, count_dist, summand):
+        super().__init__(count_dist, summand)
+        self.rho = count_dist.rho
+        self.rate = summand.params[0] * (1.0 - self.rho)
+
+    def atoms(self):
+        return np.array([0.0]), np.array([1.0 - self.rho])
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, self.rho * self.rate
+                        * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
+
+    def survival(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0, 1.0, self.rho * np.exp(-self.rate * np.maximum(x, 0.0)))
+
+    def cdf(self, x):
+        return 1.0 - self.survival(x)
+
+    def quantile(self, p):
+        pa = np.asarray(p, dtype=float)
+        with np.errstate(divide="ignore"):  # the quantile of p = 1 is inf
+            q = -np.log((1.0 - pa) / self.rho) / self.rate
+        return _like(p, np.where(pa <= 1.0 - self.rho, 0.0, q))
+
+    def stop_loss(self, t):
+        return np.where(t >= 0, self.rho * np.exp(-self.rate * np.maximum(t, 0.0))
+                        / self.rate, self._mean - t)
+
+
 def random_sum(count_dist, summand):
+    if (isinstance(count_dist, GeometricCount) and count_dist.rho > 0
+            and isinstance(summand, Exponential)):
+        return GeometricExponentialSum(count_dist, summand)
     return RandomSum(count_dist, summand)
 
 
@@ -600,8 +613,6 @@ class PermutationStatistic(Distribution):
     """W = sum_i a[i, pi(i)] for a uniformly random permutation pi."""
 
     family = "permutation-statistic"
-    has_sampler = True
-    has_closed_moments = True
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
@@ -667,9 +678,6 @@ class Affine(Distribution):
         self.tail_index = base.tail_index
         self.params = tuple(base.params) + (shift, scale)
         self.has_density = base.has_density
-        self.has_cdf = base.has_cdf
-        self.has_sampler = base.has_sampler
-        self.has_closed_moments = base.has_closed_moments
         lo = scale * (base.support.lo + shift)
         hi = scale * (base.support.hi + shift)
         self.support = Interval(lo, hi)

@@ -44,7 +44,9 @@ class DerivativeMismatch(ExprError):
 
 class Expr:
     def __call__(self, x):
-        return self.eval(np.asarray(x, dtype=float))
+        # overflow and nan are left to the caller, which checks finiteness
+        with np.errstate(all="ignore"):
+            return self.eval(np.asarray(x, dtype=float))
 
     def diff(self) -> "Expr":
         raise NotImplementedError

@@ -15,7 +15,7 @@ theta*(theta - m)/(a - 1); see the README note on the sign convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -153,8 +153,6 @@ class SmoothedDistribution(Distribution):
 
     family = "smoothed"
     has_density = True
-    has_cdf = True
-    has_closed_moments = True
 
     def __init__(self, base: Distribution, epsilon: float):
         if epsilon <= 0:
@@ -163,7 +161,6 @@ class SmoothedDistribution(Distribution):
         self.epsilon = epsilon
         self.params = tuple(base.params) + (epsilon,)
         self.support = Interval(-math.inf, math.inf)
-        self.has_sampler = base.has_sampler
         self._mu = base.mean()
 
     def _mix(self, x, f, weight=lambda y: 1.0):
@@ -216,38 +213,25 @@ class SmoothedDistribution(Distribution):
                          rel_tol=rel_tol, points=np.concatenate(cuts)).value
 
 
-@dataclass
-class SmoothedSpec:
-    """Y together with its Gaussian-smoothed companion Y + Z."""
-
-    base: Distribution
-    epsilon: float
-    convolved: SmoothedDistribution = field(init=False)
-
-    def __post_init__(self):
-        self.convolved = SmoothedDistribution(self.base, self.epsilon)
+def smooth(base: Distribution, epsilon: float) -> SmoothedDistribution:
+    return SmoothedDistribution(base, epsilon)
 
 
-def smooth(base: Distribution, epsilon: float) -> SmoothedSpec:
-    return SmoothedSpec(base=base, epsilon=epsilon)
-
-
-def smoothed_kernel(s: SmoothedSpec) -> SteinKernel:
+def smoothed_kernel(s: SmoothedDistribution) -> SteinKernel:
     """Kernel tau_eps(x) = eps^2 + E[(Y'-mu) SF_eps(x-Y')] / E[pdf_eps(x-Y')]."""
-    conv = s.convolved
     eps = s.epsilon
-    mu = conv.mean()
+    mu = s.mean()
 
     def tau(x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        den = conv.density(x1)
-        num = conv._mix(x1, lambda t: _norm.sf(t, scale=eps), lambda y: y - mu)
+        den = s.density(x1)
+        num = s._mix(x1, lambda t: _norm.sf(t, scale=eps), lambda y: y - mu)
         if np.any(den < DENSITY_FLOOR):
             raise DensityUnderflow("smoothed denominator underflow in the tails")
         out = eps * eps + num / den
         return out if np.ndim(x) else float(out[0])
 
-    return SteinKernel(eval=tau, provenance="smoothed", base=conv)
+    return SteinKernel(eval=tau, provenance="smoothed", base=s)
 
 
 # ------------------------------------------------------------- diagnostics

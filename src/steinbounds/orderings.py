@@ -52,7 +52,7 @@ def _shared_grid(d1: Distribution, d2: Distribution, grid_size: int):
     pts = []
     for d in (d1, d2):
         try:
-            pts.append(np.array([d.quantile(q) for q in qs]))
+            pts.append(d.quantile(qs))
         except DistributionError:
             pass
     if not pts:
@@ -97,11 +97,11 @@ def check_nbue_nwue(d: Distribution, grid_size: int = DEFAULT_GRID,
     i.e. the equilibrium survival lies below the base survival; NWUE is
     the reverse.  Returns (nbue_verdict, nwue_verdict).
     """
-    spec = equilibrium(d)
-    grid = _shared_grid(d, spec.eq, grid_size)
+    eq = equilibrium(d)
+    grid = _shared_grid(d, eq, grid_size)
     grid = grid[grid >= 0.0]
     s_base = np.asarray(d.survival(grid), dtype=float)
-    s_eq = np.asarray(spec.eq.survival(grid), dtype=float)
+    s_eq = np.asarray(eq.survival(grid), dtype=float)
     nbue = _verdict("nbue", grid, s_eq - s_base, tol)
     nwue = _verdict("nwue", grid, s_base - s_eq, tol)
     return nbue, nwue

@@ -1,20 +1,21 @@
-"""Zero-bias and equilibrium transforms.
+"""Zero-bias and equilibrium transforms: each returns a law.
 
-zero_bias(d) builds the law W* with E[W phi(W)] = sigma^2 E[phi'(W*)];
-its density is sigma^-2 E[W 1(W > w)] on the convex hull of the support.
-equilibrium(d) builds W^e with E[phi(W)] - phi(0) = (1/lambda) E[phi'(W^e)],
-whose survival is lambda * E[(W - x)_+].
+zero_bias(d) is the law W* with E[W phi(W)] = sigma^2 E[phi'(W*)]; its
+density is sigma^-2 E[W 1(W > w)] on the convex hull of the support.
+equilibrium(d) is the law W^e with E[phi(W)] - phi(0) = (1/lambda)
+E[phi'(W^e)], whose survival is lambda * E[(W - x)_+].  Both tabulate
+their cdf once and answer quantile by interpolating it, so that a coupling
+can push one uniform through several inverse cdfs.  stop_loss(d, t) is
+the entry point to a law's own stop-loss transform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Distribution, DistributionError, Exponential,
-                            RandomSum, TailMoments, Uniform, _weigh, tail_panels)
+from .distributions import Distribution, TailMoments, _like, _weigh, tail_panels
 from .numerics import Interval, integrate, linear_grid
 
 
@@ -26,73 +27,34 @@ class NotCentered(TransformError):
     """Zero-bias input must have mean zero (within 1e-9)."""
 
 
-STOP_LOSS_NODES = 2048  # nodes of the tail-moment table behind stop_loss
-
-
 # ------------------------------------------------------------------ helpers
 
 def stop_loss(d: Distribution, t):
-    """E[(W - t)_+]: closed forms where cheap, else the atoms' sum plus
-    U1(t) - t U0(t) from a tail-moment table of the continuous part."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if isinstance(d, Exponential):
-        lam = d.params[0]
-        out = np.where(t_arr >= 0, np.exp(-lam * np.maximum(t_arr, 0.0)) / lam,
-                       1.0 / lam - t_arr)
-        return out if np.ndim(t) else float(out[0])
-    if isinstance(d, RandomSum) and d._geo_exp is not None:
-        rho, rate = d._geo_exp
-        out = np.where(t_arr >= 0,
-                       rho * np.exp(-rate * np.maximum(t_arr, 0.0)) / rate,
-                       d.mean() - t_arr)
-        return out if np.ndim(t) else float(out[0])
-    if isinstance(d, Uniform):
-        lo, hi = d.params
-        tc = np.clip(t_arr, lo, hi)
-        out = (hi - tc) ** 2 / (2.0 * (hi - lo)) + np.maximum(lo - t_arr, 0.0)
-        return out if np.ndim(t) else float(out[0])
-    if isinstance(d, ZeroBiasDistribution):
-        out = d._stop_loss(t_arr)
-        return out if np.ndim(t) else float(out[0])
-    vals, probs = d.atoms()
-    out = np.sum(probs[None, :] * np.maximum(vals[None, :] - t_arr[:, None], 0.0),
-                 axis=1)
-    if d.continuous_weight > 1e-12:
-        if not d.has_density:
-            raise DistributionError(f"{d.family}: stop-loss needs atoms or a density")
-        eff = d.effective_interval(1e-9)
-        _, _, _, u0, u1, _ = TailMoments(d, eff.lo, eff.hi, STOP_LOSS_NODES)(t_arr)
-        out = out + u1 - t_arr * u0
+    """E[(W - t)_+] at a point t or an array of points."""
+    out = d.stop_loss(np.atleast_1d(np.asarray(t, dtype=float)))
     return out if np.ndim(t) else float(out[0])
 
 
-class _GridInverseSampler:
-    """Inverse-cdf sampler from a cached (x, cdf) table."""
+class _TabulatedLaw(Distribution):
+    """A law whose quantile interpolates its cdf, tabulated at nodes xs."""
 
-    def __init__(self, xs, cdf):
+    def _tabulate(self, xs, cdf):
         cdf = np.clip(cdf, 0.0, 1.0)
         keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
-        self.xs = xs[keep]
-        self.cdf = cdf[keep]
-        self.cdf[0], self.cdf[-1] = 0.0, 1.0
+        self._q_xs, self._q_cdf = xs[keep], cdf[keep]
+        self._q_cdf[0], self._q_cdf[-1] = 0.0, 1.0
 
-    def __call__(self, rng, size):
-        return self.from_uniform(rng.uniform(size=size))
-
-    def from_uniform(self, u):
-        return np.interp(u, self.cdf, self.xs)
+    def quantile(self, p):
+        return _like(p, np.interp(np.asarray(p, dtype=float), self._q_cdf, self._q_xs))
 
 
 # ----------------------------------------------------------------- zero-bias
 
-class ZeroBiasDistribution(Distribution):
+class ZeroBiasDistribution(_TabulatedLaw):
     """The W-zero-biased law; always continuous."""
 
     family = "zero-bias"
     has_density = True
-    has_cdf = True
-    has_sampler = True
-    has_closed_moments = False
 
     def __init__(self, base: Distribution, cdf_grid: int = 2048):
         mu = base.mean()
@@ -110,6 +72,11 @@ class ZeroBiasDistribution(Distribution):
             self._init_discrete(vals, probs)
         else:
             self._init_continuous(cdf_grid)
+        xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
+        # E[(W* - x)_+] at the nodes xs, read by stop_loss
+        steps = 0.5 * (surv[1:] + surv[:-1]) * np.diff(xs)
+        self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
+        self._tabulate(xs, self._cdf_vals)
 
     # discrete base: density is a step function between consecutive atoms,
     # so the cdf is piecewise linear, exact in the (node, cdf) table
@@ -127,18 +94,16 @@ class ZeroBiasDistribution(Distribution):
             raise TransformError(
                 f"zero-bias mass {cum[-1]:.12g} != 1 (base not centered?)")
         self._cdf_xs, self._cdf_vals = vals, cum / cum[-1]
-        self._sampler = _GridInverseSampler(vals, self._cdf_vals)
 
     def _init_continuous(self, cdf_grid):
         """Tail-moment table of the base on about cdf_grid nodes over the
-        sampler range, and the cdf at its nodes for sampling."""
+        sampler range, and the cdf at its nodes for the quantile."""
         base = self.base
         self.support = Interval(base.support.lo, base.support.hi)
         self._moments = TailMoments(base, *self._sampler_range(), cdf_grid)
         xs = self._moments.xs
         self._cdf_xs = xs
         self._cdf_vals = np.maximum.accumulate(self._cdf(xs))
-        self._sampler = _GridInverseSampler(xs, self._cdf_vals)
 
     def _sampler_range(self):
         """Range covering all but ~1e-9 of the zero-bias mass.
@@ -191,36 +156,22 @@ class ZeroBiasDistribution(Distribution):
                else self._cdf(x_arr))
         return out if np.ndim(x) else float(out[0])
 
-    def quantile(self, p):
-        return float(self.from_uniform(p))
-
     def mean(self):
         # E[W phi(W)] = sigma^2 E[phi'(W*)] with phi = x^2/2
         return self.base.expect(lambda x: x**3) / (2.0 * self.sigma2)
 
-    def _stop_loss(self, t):
+    def stop_loss(self, t):
         """E[(W* - t)_+] = int_t^hi (1 - F*(y)) dy by the trapezoid rule on
         the cdf table, from t to the next node and node to node beyond it:
         exact for a discrete base (piecewise-linear cdf), table accuracy
         (~1e-8 in the bulk) for a continuous one."""
         xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
-        if not hasattr(self, "_sl_table"):
-            steps = 0.5 * (surv[1:] + surv[:-1]) * np.diff(xs)
-            self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
-        t = np.asarray(t, dtype=float)
         tc = np.clip(t, xs[0], xs[-1])
         j = np.clip(np.searchsorted(xs, tc, side="right"), 1, len(xs) - 1)
         out = self._sl_table[j] + 0.5 * (xs[j] - tc) * (
             1.0 - np.interp(tc, xs, self._cdf_vals) + surv[j])
         # below the table E[W*] - t, with P(W* >= xs[0]) = 1
         return np.where(t < xs[0], self._sl_table[0] + xs[0] - t, out)
-
-    def sample(self, rng, size):
-        return self.from_uniform(rng.uniform(size=size))
-
-    def from_uniform(self, u):
-        """Inverse-cdf map of uniforms (shared for comonotone couplings)."""
-        return self._sampler.from_uniform(np.asarray(u, dtype=float))
 
     def expect(self, f, rel_tol=1e-9, points=None):
         """E[f(W*)]: one integrate call of f times the zero-bias density.
@@ -237,34 +188,8 @@ class ZeroBiasDistribution(Distribution):
                          rel_tol=rel_tol, points=pts).value
 
 
-@dataclass
-class ZeroBiasSpec:
-    base: Distribution
-    star: ZeroBiasDistribution
-
-    @property
-    def sigma2(self):
-        return self.star.sigma2
-
-
-def zero_bias(d: Distribution) -> ZeroBiasSpec:
-    return ZeroBiasSpec(base=d, star=ZeroBiasDistribution(d))
-
-
-def _inverse_transform(dist, u, rng):
-    """F^{-1}(u) for one distribution, vectorized over the uniforms u.
-
-    Falls back to an independent draw when no inverse-cdf route exists."""
-    if hasattr(dist, "from_uniform"):
-        return dist.from_uniform(u)
-    vals, probs = dist.atoms()
-    if len(vals) and dist.continuous_weight <= 1e-12:
-        cum = np.cumsum(probs)
-        idx = np.clip(np.searchsorted(cum, u, side="left"), 0, len(vals) - 1)
-        return vals[idx]
-    if dist.has_cdf:
-        return np.array([dist.quantile(float(p)) for p in u])
-    return dist.sample(rng, len(u))
+def zero_bias(d: Distribution) -> ZeroBiasDistribution:
+    return ZeroBiasDistribution(d)
 
 
 class SumZeroBiasCoupling:
@@ -278,7 +203,7 @@ class SumZeroBiasCoupling:
         if not parts:
             raise TransformError("need at least one part")
         self.parts = list(parts)
-        self.part_specs = [zero_bias(p) for p in parts]
+        self.stars = [zero_bias(p) for p in parts]
         variances = np.array([p.var() for p in parts])
         self.sigma2 = float(variances.sum())
         self.weights = variances / self.sigma2
@@ -292,12 +217,10 @@ class SumZeroBiasCoupling:
         cost for standardized Bernoulli parts."""
         n = len(self.parts)
         u = rng.uniform(size=(n, size))
-        draws = np.stack([_inverse_transform(p, u[i], rng)
-                          for i, p in enumerate(self.parts)])
+        draws = np.stack([p.quantile(u[i]) for i, p in enumerate(self.parts)])
         w = draws.sum(axis=0)
         idx = rng.choice(n, size=size, p=self.weights)
-        stars = np.stack([_inverse_transform(s.star, u[i], rng)
-                          for i, s in enumerate(self.part_specs)])
+        stars = np.stack([s.quantile(u[i]) for i, s in enumerate(self.stars)])
         cols = np.arange(size)
         w_star = w - draws[idx, cols] + stars[idx, cols]
         return w, w_star, np.abs(w_star - w)
@@ -314,14 +237,11 @@ def zero_bias_sum(parts) -> SumZeroBiasCoupling:
 
 # --------------------------------------------------------------- equilibrium
 
-class EquilibriumDistribution(Distribution):
+class EquilibriumDistribution(_TabulatedLaw):
     """The equilibrium law W^e of a nonnegative W with mean 1/lambda."""
 
     family = "equilibrium"
     has_density = True
-    has_cdf = True
-    has_sampler = True
-    has_closed_moments = False
 
     def __init__(self, base: Distribution, cdf_grid: int = 2048):
         if base.support.lo < -1e-12:
@@ -341,12 +261,12 @@ class EquilibriumDistribution(Distribution):
                 hi = base.effective_interval(1e-12).hi
         self.support = Interval(0.0, hi)
         xs = linear_grid(0.0, hi, cdf_grid)
-        self._sampler = _GridInverseSampler(xs, np.clip(self.cdf(xs), 0.0, 1.0))
+        self._tabulate(xs, self.cdf(xs))
 
     def survival(self, x):
         # lambda * integral_x^inf P(W > y) dy = lambda * E[(W - x)_+]
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.lam * np.asarray(stop_loss(self.base, np.maximum(x_arr, 0.0)))
+        out = self.lam * stop_loss(self.base, np.maximum(x_arr, 0.0))
         out = np.where(x_arr < 0, 1.0, np.clip(out, 0.0, 1.0))
         return out if np.ndim(x) else float(out[0])
 
@@ -359,22 +279,6 @@ class EquilibriumDistribution(Distribution):
         out = np.where((x_arr < 0) | (x_arr > self.support.hi), 0.0, out)
         return out if np.ndim(x) else float(out[0])
 
-    def quantile(self, p):
-        return float(self._sampler.from_uniform(p))
 
-    def sample(self, rng, size):
-        return self._sampler(rng, size)
-
-
-@dataclass
-class EquilibriumSpec:
-    base: Distribution
-    eq: EquilibriumDistribution
-
-    @property
-    def lam(self):
-        return self.eq.lam
-
-
-def equilibrium(d: Distribution) -> EquilibriumSpec:
-    return EquilibriumSpec(base=d, eq=EquilibriumDistribution(d))
+def equilibrium(d: Distribution) -> EquilibriumDistribution:
+    return EquilibriumDistribution(d)

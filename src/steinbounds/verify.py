@@ -352,7 +352,7 @@ def scenario_smoothing(params, seed):
     for eps in (0.25, 0.5, 1.0):
         s = smooth(base, eps)
         k = smoothed_kernel(s)
-        e_tau = s.convolved.expect(lambda x: k(x), rel_tol=1e-9)
+        e_tau = s.expect(lambda x: k(x), rel_tol=1e-9)
         res.check(f"mean-kernel-equals-variance[eps={eps:g}]", e_tau,
                   base.var() + eps * eps, QUAD_TOL * (1.0 + base.var() + eps * eps))
 

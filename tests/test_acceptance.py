@@ -171,7 +171,7 @@ def test_sandwich_soundness(family):
 
 @pytest.mark.parametrize("family", sorted(CATALOG))
 def test_zero_bias_table_mass(family):
-    star = zero_bias(centered(CATALOG[family])).star
+    star = zero_bias(centered(CATALOG[family]))
     assert abs(star.expect(lambda x: 1.0) - 1.0) <= 5e-6
 
 
@@ -209,7 +209,7 @@ def test_tightness_equilibrium_exponential():
 
 def test_zero_bias_gaussian_fixed_point():
     d = Gaussian(0.0, 1.0)
-    star = zero_bias(d).star
+    star = zero_bias(d)
     xs = np.linspace(-4.0, 4.0, 64)
     diff = np.abs(np.array([star.density(x) for x in xs]) - d.density(xs))
     assert float(diff.max()) <= 1e-6
@@ -217,7 +217,7 @@ def test_zero_bias_gaussian_fixed_point():
 
 def test_equilibrium_exponential_fixed_point():
     d = Exponential(1.0)
-    eq = equilibrium(d).eq
+    eq = equilibrium(d)
     xs = np.linspace(0.0, 20.0, 64)
     diff = np.abs(np.asarray(eq.cdf(xs)) - np.asarray(d.cdf(xs)))
     assert float(diff.max()) <= 1e-8
@@ -225,7 +225,7 @@ def test_equilibrium_exponential_fixed_point():
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
 def test_two_point_zero_bias_uniform(a, b):
-    star = zero_bias(two_point(a, b)).star
+    star = zero_bias(two_point(a, b))
     xs = np.linspace(-a + 1e-9, b - 1e-9, 33)
     dens = np.array([star.density(x) for x in xs])
     assert float(np.max(np.abs(dens - 1.0 / (a + b)))) <= 1e-9
@@ -357,7 +357,7 @@ def test_smoothed_kernel_rademacher():
     for eps in (0.25, 0.5, 1.0):
         s = smooth(base, eps)
         k = smoothed_kernel(s)
-        e_tau = s.convolved.expect(lambda x: k(x), rel_tol=1e-9)
+        e_tau = s.expect(lambda x: k(x), rel_tol=1e-9)
         assert e_tau == pytest.approx(1.0 + eps * eps, abs=1e-6)
     res = run_scenario("smoothing", {"n_mc": 200000}, seed=9)
     assert res.passed, [a.to_dict() for a in res.assertions if not a.passed]

@@ -114,7 +114,7 @@ def test_equilibrium_uniform_branch_a():
 def test_generic_coupling_zero_bias():
     # gamma = identity, T1 = sigma^2, T2 = W*: the generic machinery must
     # reproduce the zero-bias sandwich around Var[sin(W)]
-    star = zero_bias(GAUSS).star
+    star = zero_bias(GAUSS)
     g = make_test_function("sin(x)", IV8)
 
     def sampler(rng, size):

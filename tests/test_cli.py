@@ -302,7 +302,7 @@ def test_cacoullos_lower_withheld_without_variance(tmp_path, dist):
         post = tmp_path / "p.json"
         assert cli.main(["posterior", "--pair", "gaussian-var", "--alpha",
                          "1.5", "--beta", "1", "--n", "0", "--g", "x/(1+x^2)",
-                         "--n-mc", "10000", "--out", str(post)]) == cli.EXIT_OK
+                         "--n-mc", "10000", "--out", str(post)]) == cli.EXIT_WITHHELD
         bounds = read_json(post)["results"]["bounds"]
         assert bounds["lower"] is None
         assert bounds["upper"] == pytest.approx(rep["upper"], rel=1e-9)

@@ -64,7 +64,7 @@ def test_smoothed_moment_identity():
         for eps in (0.25, 1.0):
             s = smooth(base, eps)
             k = smoothed_kernel(s)
-            e_tau = s.convolved.expect(lambda x: k(x), rel_tol=1e-9)
+            e_tau = s.expect(lambda x: k(x), rel_tol=1e-9)
             assert e_tau == pytest.approx(var + eps * eps, abs=1e-6)
 
 
@@ -79,7 +79,7 @@ def test_smoothed_density_is_mixture_of_gaussians():
     x = 0.3
     w_minus, w_plus = 2.0 / 3.0, 1.0 / 3.0
     expect = (w_minus * norm.pdf(x, -1.0, 0.5) + w_plus * norm.pdf(x, 2.0, 0.5))
-    assert s.convolved.density(x) == pytest.approx(expect, rel=1e-12)
+    assert s.density(x) == pytest.approx(expect, rel=1e-12)
 
 
 def test_smooth_rejects_bad_epsilon():
@@ -90,17 +90,17 @@ def test_smooth_rejects_bad_epsilon():
 def test_smoothed_law_with_tiny_epsilon():
     # the Gaussian factor is far narrower than the base's panels: each
     # point gets its own cuts, and the mix returns the base's own law
-    conv = smooth(Gaussian(0.0, 1.0), 1e-6).convolved
+    conv = smooth(Gaussian(0.0, 1.0), 1e-6)
     x = np.array([-1.0, 0.0, 0.5])
     np.testing.assert_allclose(conv.density(x), norm.pdf(x), rtol=1e-8)
     np.testing.assert_allclose(conv.cdf(x), norm.cdf(x), rtol=1e-8)
     # over atoms the panels are cut around each bump, not every epsilon
-    conv = smooth(two_point(1.0, 2.0), 1e-6).convolved
+    conv = smooth(two_point(1.0, 2.0), 1e-6)
     assert conv.expect(lambda x: x * x) == pytest.approx(2.0 + 1e-12, rel=1e-9)
 
 
 def test_smoothed_expect_takes_vector_integrands():
-    conv = smooth(two_point(1.0, 2.0), 0.5).convolved
+    conv = smooth(two_point(1.0, 2.0), 0.5)
     both = conv.expect(lambda x: np.stack([x, x * x], -1))
     assert both == pytest.approx([conv.expect(lambda x: x),
                                   conv.expect(lambda x: x * x)], rel=1e-9)

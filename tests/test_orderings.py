@@ -31,7 +31,7 @@ def test_cx_requires_equal_means():
 
 def test_cx_zero_bias_of_symmetric_two_point():
     # W* is uniform on (-a, a), squeezed toward 0: W* <=_cx W
-    star = zero_bias(two_point(1.0, 1.0)).star
+    star = zero_bias(two_point(1.0, 1.0))
     assert check_cx(star, two_point(1.0, 1.0)).holds
 
 

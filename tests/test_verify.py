@@ -37,7 +37,7 @@ def test_phi_battery_shape():
 
 
 def test_coupling_residual_zero_bias():
-    star = zero_bias(GAUSS).star
+    star = zero_bias(GAUSS)
 
     def sampler(rng, size):
         w = GAUSS.sample(rng, size)
