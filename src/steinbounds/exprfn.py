@@ -395,9 +395,9 @@ def make_test_function(e, effective: Interval, probe_count: int = 256,
     grid = linear_grid(lo, hi, probe_count)
     if check:
         _check_derivative(e, d1, grid)
-    g1v = d1(grid)
-    g2v = d2(grid)
-    sup = float(np.max(np.abs(g1v * g2v))) if np.all(np.isfinite(g1v * g2v)) else math.inf
+    with np.errstate(all="ignore"):  # 0 * inf at a support edge is nan
+        g1g2 = d1(grid) * d2(grid)
+    sup = float(np.max(np.abs(g1g2))) if np.all(np.isfinite(g1g2)) else math.inf
     return TestFunction(g=e, g1=d1, g2=d2, sup_g1g2=sup,
                         domain=effective, source=str(e))
 

@@ -214,15 +214,33 @@ class SumZeroBiasCoupling:
         The replaced part and its zero-biased replacement are coupled
         comonotonically (same uniform through both inverse cdfs), which
         minimises E|W_star - W| and matches the closed-form replacement
-        cost for standardized Bernoulli parts."""
+        cost for standardized Bernoulli parts.
+
+        Stream layout: parts x size uniforms, drawn row by row (row i feeds
+        part i), then the index draw I = rng.choice(parts, size, p=weights);
+        the generator is left after the index draw.  The rows are streamed
+        one at a time: the bit generator (one with `advance`, such as
+        numpy's default PCG64) jumps past them to draw I first, then
+        returns to draw each row, so memory is O(size) whatever the number
+        of parts."""
         n = len(self.parts)
-        u = rng.uniform(size=(n, size))
-        draws = np.stack([p.quantile(u[i]) for i, p in enumerate(self.parts)])
-        w = draws.sum(axis=0)
+        bitgen = rng.bit_generator
+        start = bitgen.state
+        bitgen.advance(n * size)
         idx = rng.choice(n, size=size, p=self.weights)
-        stars = np.stack([s.quantile(u[i]) for i, s in enumerate(self.stars)])
-        cols = np.arange(size)
-        w_star = w - draws[idx, cols] + stars[idx, cols]
+        end = bitgen.state
+        bitgen.state = start
+        # W is summed row by row from zero, in the order of sum(axis=0)
+        w, x_i, x_star = np.zeros(size), np.empty(size), np.empty(size)
+        for i, (part, star) in enumerate(zip(self.parts, self.stars)):
+            u = rng.uniform(size=size)
+            x = part.quantile(u)
+            w += x
+            hit = idx == i
+            x_i[hit] = x[hit]
+            x_star[hit] = star.quantile(u[hit])
+        bitgen.state = end
+        w_star = (w - x_i) + x_star
         return w, w_star, np.abs(w_star - w)
 
     def mean_abs_gap(self, rng, n: int):

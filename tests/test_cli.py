@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -326,3 +330,15 @@ def test_equilibrium_lower_where_g_overflows_off_the_density(tmp_path):
                      "--out", str(out)])
     assert code == cli.EXIT_OK
     assert read_json(out)["results"]["lower"] == pytest.approx(16.0, rel=1e-8)
+
+
+def test_bound_with_nan_g1g2_prints_no_runtime_warning():
+    # the CLI runs in its own interpreter, with the default warning filters
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "steinbounds.cli", "bound", "--dist",
+         "invgamma:5,3", "--g", "x^1.3", "--method", "cacoullos"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from steinbounds.distributions import make
 from steinbounds.exprfn import (BUILTIN_FUNCTIONS, ExprError, SyntaxError_,
                                 differentiate, make_test_function,
                                 named_test_function, parse)
@@ -70,3 +71,12 @@ def test_abs_derivative_is_sign():
     g = make_test_function("abs(x)", IV)
     assert float(g.g1(2.0)) == 1.0
     assert float(g.g1(-2.0)) == -1.0
+
+
+def test_sup_g1g2_infinite_where_product_is_nan():
+    # on invgamma:5,3 the interval starts at 0, where g' = 0 and g'' = inf:
+    # the product is nan there, and is formed without a RuntimeWarning
+    eff = make("invgamma", (5.0, 3.0)).effective_interval(1e-9)
+    assert eff.lo == 0.0
+    g = make_test_function("x^1.3", eff)
+    assert g.sup_g1g2 == math.inf

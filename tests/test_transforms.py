@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,3 +177,59 @@ def test_zero_bias_sum_variance_matches():
     w = sum_of_independents(parts)
     assert w.var() == pytest.approx(1.0, rel=1e-12)
     assert coup.sigma2 == pytest.approx(1.0, rel=1e-12)
+
+
+def _materialised_joint_sample(coup, rng, size):
+    # the (parts x size) formula that joint_sample streams, kept as its oracle
+    n = len(coup.parts)
+    u = rng.uniform(size=(n, size))
+    draws = np.stack([p.quantile(u[i]) for i, p in enumerate(coup.parts)])
+    w = draws.sum(axis=0)
+    idx = rng.choice(n, size=size, p=coup.weights)
+    stars = np.stack([s.quantile(u[i]) for i, s in enumerate(coup.stars)])
+    cols = np.arange(size)
+    w_star = w - draws[idx, cols] + stars[idx, cols]
+    return w, w_star, np.abs(w_star - w)
+
+
+@pytest.mark.parametrize("parts,size", [
+    ([standardized_bernoulli(0.3, 30)] * 30, 10**5),
+    ([standardized_bernoulli(0.4, 1)], 10**4),
+    # unequal variances, and continuous parts read from tabulated quantiles
+    ([standardized_bernoulli(0.3, 4), centered(Uniform(0.0, 3.0)),
+      centered(Gamma(2.0, 1.0)), two_point(1.0, 2.0)], 10**4),
+], ids=["bernoulli-30", "single-part", "mixed"])
+def test_joint_sample_streams_the_materialised_draws(parts, size):
+    coup = zero_bias_sum(parts)
+    rng, ref_rng = rng_stream(7, 11), rng_stream(7, 11)
+    got = coup.joint_sample(rng, size)
+    ref = _materialised_joint_sample(coup, ref_rng, size)
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
+    # the generator is left where the materialised draws leave it
+    assert rng.uniform(size=5).tobytes() == ref_rng.uniform(size=5).tobytes()
+
+
+def _joint_sample_peak(n_parts, size):
+    coup = zero_bias_sum([standardized_bernoulli(0.3, n_parts)] * n_parts)
+    rng = rng_stream(1, 11)
+    tracemalloc.start()
+    try:
+        coup.joint_sample(rng, size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_joint_sample_memory_does_not_grow_with_parts():
+    size = 2 * 10**5
+    peak5, peak30 = _joint_sample_peak(5, size), _joint_sample_peak(30, size)
+    assert peak30 <= 12 * 8 * size
+    assert abs(peak30 - peak5) <= 0.1 * peak5
+
+
+def test_zero_bias_sum_gap_golden_value():
+    # pins the draw stream: any change of layout or rounding order moves it
+    coup = zero_bias_sum([standardized_bernoulli(0.3, 30)] * 30)
+    assert coup.mean_abs_gap(rng_stream(42, 11), 10**5) == (
+        0.11553239479029104, 0.00024959980757046306)
