@@ -7,7 +7,9 @@ class answers the cdf, quantile and stop-loss of a law that is only atoms,
 samples by the inverse cdf, and reads the stop-loss of a continuous part
 from a tail-moment table; a law with a closed form overrides the method.
 has_density is the one flag, which lets expectations choose quadrature
-over Monte Carlo.
+over Monte Carlo.  The continuous families are closed forms on
+scipy.special (_StandardLaw) that equal scipy's rv_continuous laws value
+for value.
 
 The string syntax "family:p1,p2,..." (shared with the CLI) is parsed by
 parse_dist.
@@ -18,7 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
+from scipy.special import _ufuncs as _special_ufuncs
 
 from .numerics import (Interval, REAL_LINE, TAIL_EDGES, integrate,
                        inverse_cdf, panel_rule)
@@ -99,12 +102,17 @@ class Distribution:
         """Probability mass carried by the continuous part."""
         return 1.0 - float(np.sum(self.atoms()[1]))
 
+    @property
+    def only_atoms(self) -> bool:
+        """Whether the law is its atoms alone (up to 1e-12 of mass)."""
+        return bool(len(self.atoms()[0])) and self.continuous_weight <= 1e-12
+
     def _atom_cum(self):
         """The atoms and their cumulative probabilities, for a law that is
         only atoms."""
-        vals, probs = self.atoms()
-        if not len(vals) or self.continuous_weight > 1e-12:
+        if not self.only_atoms:
             raise DistributionError(f"{self.family}: no cdf")
+        vals, probs = self.atoms()
         return vals, np.cumsum(probs)
 
     def quantile(self, p):
@@ -196,97 +204,226 @@ class Distribution:
 
 # ------------------------------------------------------- continuous families
 
-class _ScipyDistribution(Distribution):
-    has_density = True
+_SQRT_2PI = math.sqrt(2 * math.pi)
 
-    def __init__(self, frozen, support):
-        self._frozen = frozen
-        self.support = support
+
+def normal_pdf(z):
+    """The standard normal density at the array z."""
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
+
+
+def _piecewise(z, default, cases):
+    """An array shaped like z holding default, NaN where z is NaN, and for
+    each (mask, value) of cases the value where the mask holds: a float, or
+    a function evaluated on the points of its mask only; a numpy scalar
+    when z is a scalar."""
+    out = np.where(np.isnan(z), np.nan, default)
+    for mask, value in cases:
+        if not callable(value):
+            out[mask] = value
+        elif np.any(mask):
+            out[mask] = value(z[mask])
+    return out[()]
+
+
+class _StandardLaw(Distribution):
+    """The law of loc + scale Z, where Z has support [z_lo, z_hi], the
+    closed forms _pdf, _cdf, _sf and _ppf on it, and the mean and variance
+    z_moments.
+
+    The arithmetic, the special functions and the support masks are those
+    of scipy's rv_continuous, so every value equals scipy's to the bit: x
+    is mapped to z = (x - loc) / scale, each closed form is evaluated only
+    inside the support, a NaN point gives NaN, and a scalar point gives a
+    numpy scalar."""
+
+    has_density = True
+    z_lo, z_hi = -math.inf, math.inf
+    open_density = False  # the density is masked to (z_lo, z_hi)
+
+    def __init__(self, loc, scale, support):
+        self.loc, self.scale, self.support = loc, scale, support
+
+    def _z(self, x):
+        return (np.asarray(x, dtype=float) - self.loc) / self.scale
+
+    def _sf(self, z):
+        return 1.0 - self._cdf(z)
 
     def density(self, x):
-        return self._frozen.pdf(x)
+        z = self._z(x)
+        inside = ((self.z_lo < z) & (z < self.z_hi) if self.open_density
+                  else (self.z_lo <= z) & (z <= self.z_hi))
+        return _piecewise(z, 0.0, [(inside, lambda z: self._pdf(z) / self.scale)])
 
     def cdf(self, x):
-        return self._frozen.cdf(x)
+        z = self._z(x)
+        return _piecewise(z, 0.0, [(z >= self.z_hi, 1.0),
+                                   ((self.z_lo < z) & (z < self.z_hi), self._cdf)])
 
     def survival(self, x):
-        return self._frozen.sf(x)
-
-    def mean(self):
-        return float(self._frozen.mean())
-
-    def var(self):
-        return float(self._frozen.var())
+        z = self._z(x)
+        return _piecewise(z, 0.0, [(z <= self.z_lo, 1.0),
+                                   ((self.z_lo < z) & (z < self.z_hi), self._sf)])
 
     def quantile(self, p):
-        return _like(p, self._frozen.ppf(p))
+        q = np.asarray(p, dtype=float)
+        out = _piecewise(q, np.nan, [
+            (q == 0, self.z_lo * self.scale + self.loc),
+            (q == 1, self.z_hi * self.scale + self.loc),
+            ((0 < q) & (q < 1), lambda q: self._ppf(q) * self.scale + self.loc)])
+        return _like(p, out)
 
-    def sample(self, rng, size):
-        return self._frozen.rvs(size=size, random_state=rng)
+    def mean(self):
+        return float(self.z_moments[0] * self.scale + self.loc)
+
+    def var(self):
+        return float(self.z_moments[1] * self.scale * self.scale)
 
 
-class Gaussian(_ScipyDistribution):
+class Gaussian(_StandardLaw):
     """Normal law parameterized by (mean, variance)."""
 
     family = "gaussian"
+    z_moments = (0.0, 1.0)
 
     def __init__(self, mu, var):
         if var <= 0:
             raise InvalidParameter(f"gaussian variance must be > 0, got {var}")
         self.params = (mu, var)
-        super().__init__(_stats.norm(mu, math.sqrt(var)), REAL_LINE)
+        super().__init__(mu, math.sqrt(var), REAL_LINE)
+
+    _pdf = staticmethod(normal_pdf)
+    _cdf = staticmethod(_special.ndtr)
+    _ppf = staticmethod(_special.ndtri)
+
+    def _sf(self, z):
+        return _special.ndtr(-z)
 
     def sample(self, rng, size):
-        mu, var = self.params
-        return rng.normal(mu, math.sqrt(var), size=size)
+        return rng.normal(self.loc, self.scale, size=size)
 
 
-class Beta(_ScipyDistribution):
+class Beta(_StandardLaw):
     family = "beta"
+    z_lo, z_hi = 0.0, 1.0
 
     def __init__(self, a, b):
         if a <= 0 or b <= 0:
             raise InvalidParameter("beta requires alpha, beta > 0")
         self.params = (a, b)
-        super().__init__(_stats.beta(a, b), Interval(0.0, 1.0))
+        s = a + b
+        self.z_moments = (a / s, a * b / (s * s * (s + 1)))
+        super().__init__(0.0, 1.0, Interval(0.0, 1.0))
+
+    def _pdf(self, z):
+        with np.errstate(over="ignore"):
+            return _special_ufuncs._beta_pdf(z, *self.params)
+
+    def _cdf(self, z):
+        return _special.betainc(*self.params, z)
+
+    def _sf(self, z):
+        return _special.betaincc(*self.params, z)
+
+    def _ppf(self, q):
+        return _special_ufuncs._beta_ppf(q, *self.params)
+
+    def sample(self, rng, size):
+        return rng.beta(*self.params, size)
 
 
-class Gamma(_ScipyDistribution):
+class Gamma(_StandardLaw):
     """Gamma with shape k and rate b (density b^k x^{k-1} e^{-bx}/Gamma(k))."""
 
     family = "gamma"
+    z_lo = 0.0
 
     def __init__(self, shape, rate):
         if shape <= 0 or rate <= 0:
             raise InvalidParameter("gamma requires shape, rate > 0")
         self.params = (shape, rate)
-        super().__init__(_stats.gamma(shape, scale=1.0 / rate),
-                         Interval(0.0, math.inf))
+        self.z_moments = (shape, shape)
+        super().__init__(0.0, 1.0 / rate, Interval(0.0, math.inf))
+
+    def _pdf(self, z):
+        k = self.params[0]
+        return np.exp(_special.xlogy(k - 1.0, z) - z - _special.gammaln(k))
+
+    def _cdf(self, z):
+        return _special.gammainc(self.params[0], z)
+
+    def _sf(self, z):
+        return _special.gammaincc(self.params[0], z)
+
+    def _ppf(self, q):
+        return _special.gammaincinv(self.params[0], q)
+
+    def sample(self, rng, size):
+        return rng.standard_gamma(self.params[0], size) * self.scale
 
 
-class InverseGamma(_ScipyDistribution):
+class InverseGamma(_StandardLaw):
+    """Inverse gamma with shape a and scale b (the law of b / G for G ~
+    Gamma(a, 1)), sampled as just that."""
+
     family = "inverse-gamma"
+    z_lo = 0.0
+    open_density = True
 
     def __init__(self, a, b):
         if a <= 0 or b <= 0:
             raise InvalidParameter("inverse-gamma requires a, b > 0")
         self.params = (a, b)
         self.tail_index = a
-        super().__init__(_stats.invgamma(a, scale=b), Interval(0.0, math.inf))
+        self.z_moments = (1.0 / (a - 1.0) if a > 1 else math.inf,
+                          1.0 / ((a - 1.0) * (a - 1.0)) / (a - 2.0) if a > 2
+                          else math.inf)
+        super().__init__(0.0, b, Interval(0.0, math.inf))
+
+    def _pdf(self, z):
+        a = self.params[0]
+        return np.exp(-(a + 1) * np.log(z) - _special.gammaln(a) - 1.0 / z)
+
+    def _cdf(self, z):
+        return _special.gammaincc(self.params[0], 1.0 / z)
+
+    def _sf(self, z):
+        return _special.gammainc(self.params[0], 1.0 / z)
+
+    def _ppf(self, q):
+        return 1.0 / _special.gammainccinv(self.params[0], q)
+
+    def sample(self, rng, size):
+        a, b = self.params
+        return b / rng.standard_gamma(a, size)
 
 
-class Pareto(_ScipyDistribution):
+class Pareto(_StandardLaw):
     """Pareto with density a m^a x^{-a-1} on x >= m."""
 
     family = "pareto"
+    z_lo = 1.0
 
     def __init__(self, shape, scale):
         if shape <= 0 or scale <= 0:
             raise InvalidParameter("pareto requires shape, scale > 0")
         self.params = (shape, scale)
         self.tail_index = shape
-        super().__init__(_stats.pareto(shape, scale=scale),
-                         Interval(scale, math.inf))
+        super().__init__(0.0, scale, Interval(scale, math.inf))
+
+    def _pdf(self, z):
+        a = self.params[0]
+        return a * np.power(z, -a - 1)
+
+    def _cdf(self, z):
+        return 1 - np.power(z, -self.params[0])
+
+    def _sf(self, z):
+        return np.power(z, -self.params[0])
+
+    def _ppf(self, q):
+        return np.power(1 - q, -1.0 / self.params[0])
 
     def mean(self):
         a, m = self.params
@@ -301,19 +438,33 @@ class Pareto(_ScipyDistribution):
         return a * m * m / ((a - 1) ** 2 * (a - 2))
 
 
-class Exponential(_ScipyDistribution):
+class Exponential(_StandardLaw):
     """Exponential with rate lam (mean 1/lam)."""
 
     family = "exponential"
+    z_lo = 0.0
+    z_moments = (1.0, 1.0)
 
     def __init__(self, rate):
         if rate <= 0:
             raise InvalidParameter("exponential requires rate > 0")
         self.params = (rate,)
-        super().__init__(_stats.expon(scale=1.0 / rate), Interval(0.0, math.inf))
+        super().__init__(0.0, 1.0 / rate, Interval(0.0, math.inf))
+
+    def _pdf(self, z):
+        return np.exp(-z)
+
+    def _cdf(self, z):
+        return -_special.expm1(-z)
+
+    def _ppf(self, q):
+        return -_special.log1p(-q)
 
     def survival(self, x):
         return np.exp(-self.params[0] * np.maximum(np.asarray(x, float), 0.0))
+
+    def sample(self, rng, size):
+        return rng.standard_exponential(size) * self.scale
 
     def stop_loss(self, t):
         lam = self.params[0]
@@ -321,14 +472,25 @@ class Exponential(_ScipyDistribution):
                         1.0 / lam - t)
 
 
-class Uniform(_ScipyDistribution):
+class Uniform(_StandardLaw):
     family = "uniform"
+    z_lo, z_hi = 0.0, 1.0
+    z_moments = (0.5, 1.0 / 12)
 
     def __init__(self, lo, hi):
         if not lo < hi:
             raise InvalidParameter(f"uniform requires lo < hi, got [{lo}, {hi}]")
         self.params = (lo, hi)
-        super().__init__(_stats.uniform(lo, hi - lo), Interval(lo, hi))
+        super().__init__(lo, hi - lo, Interval(lo, hi))
+
+    def _pdf(self, z):
+        return 1.0 * (z == z)
+
+    def _cdf(self, z):
+        return z
+
+    def _ppf(self, q):
+        return q
 
     def stop_loss(self, t):
         lo, hi = self.params

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
-from .distributions import Distribution, TailMoments, _weigh
+from .distributions import Distribution, TailMoments, _weigh, normal_pdf
 from .numerics import Interval, integrate
 
 DENSITY_FLOOR = 1e-300
@@ -178,12 +178,13 @@ class SmoothedDistribution(Distribution):
 
     def density(self, x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._mix(x1, lambda t: _norm.pdf(t, scale=self.epsilon))
+        eps = self.epsilon
+        out = self._mix(x1, lambda t: normal_pdf(t / eps) / eps)
         return out if np.ndim(x) else float(out[0])
 
     def cdf(self, x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._mix(x1, lambda t: _norm.cdf(t, scale=self.epsilon))
+        out = self._mix(x1, lambda t: ndtr(t / self.epsilon))
         return out if np.ndim(x) else float(out[0])
 
     def mean(self):
@@ -225,7 +226,7 @@ def smoothed_kernel(s: SmoothedDistribution) -> SteinKernel:
     def tau(x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         den = s.density(x1)
-        num = s._mix(x1, lambda t: _norm.sf(t, scale=eps), lambda y: y - mu)
+        num = s._mix(x1, lambda t: ndtr(-(t / eps)), lambda y: y - mu)
         if np.any(den < DENSITY_FLOOR):
             raise DensityUnderflow("smoothed denominator underflow in the tails")
         out = eps * eps + num / den

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _optimize
 
 REL_TOL_BOUND = 1e-6  # default tolerance for bound values
 ABS_FLOOR = 1e-12
@@ -214,7 +213,8 @@ def inverse_cdf(F, p: float, iv: Interval, tol: float = 1e-12) -> float:
         return lo
     if F(hi) <= p:
         return hi
-    return _optimize.brentq(lambda x: F(x) - p, lo, hi, xtol=tol)
+    from scipy.optimize import brentq
+    return brentq(lambda x: F(x) - p, lo, hi, xtol=tol)
 
 
 def _bracket(F, p, iv: Interval):

@@ -66,10 +66,9 @@ class ZeroBiasDistribution(_TabulatedLaw):
         self.base = base
         self.sigma2 = var
         self.params = tuple(base.params)
-        vals, probs = base.atoms()
-        self._discrete = len(vals) > 0 and base.continuous_weight <= 1e-12
+        self._discrete = base.only_atoms
         if self._discrete:
-            self._init_discrete(vals, probs)
+            self._init_discrete(*base.atoms())
         else:
             self._init_continuous(cdf_grid)
         xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
@@ -272,9 +271,8 @@ class EquilibriumDistribution(_TabulatedLaw):
         self.params = tuple(base.params)
         hi = base.support.hi
         if not base.support.hi_finite:
-            vals, probs = base.atoms()
-            if len(vals) and base.continuous_weight <= 1e-12:
-                hi = float(vals[-1])
+            if base.only_atoms:
+                hi = float(base.atoms()[0][-1])
             else:
                 hi = base.effective_interval(1e-12).hi
         self.support = Interval(0.0, hi)

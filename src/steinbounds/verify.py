@@ -23,13 +23,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from . import bayes
 from .bounds import (SteinCoupling, bound_convex_order, bound_equilibrium,
                      bound_smoothed, mc_variance)
-from .distributions import (Distribution, Exponential, GeometricCount,
-                            PermutationStatistic, random_sum,
+from .distributions import (Distribution, Exponential, Gaussian,
+                            GeometricCount, PermutationStatistic, random_sum,
                             standardized_bernoulli, sum_of_independents,
                             two_point)
 from .exprfn import make_test_function
@@ -343,7 +342,8 @@ def scenario_smoothing(params, seed):
     # tau_1(0) = 1 + (2 Phi(1) - 1) / (2 phi(1)) for the Rademacher base
     s1 = smooth(base, 1.0)
     k1 = smoothed_kernel(s1)
-    tau0_expected = 1.0 + (2.0 * _norm.cdf(1.0) - 1.0) / (2.0 * _norm.pdf(1.0))
+    phi = Gaussian(0.0, 1.0)
+    tau0_expected = 1.0 + (2.0 * phi.cdf(1.0) - 1.0) / (2.0 * phi.density(1.0))
     tau0 = float(k1(0.0))
     res.oracle = {"tau0": tau0, "tau0_closed_form": tau0_expected}
     res.check("kernel-at-origin", tau0, tau0_expected,
