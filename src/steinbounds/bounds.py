@@ -46,13 +46,12 @@ from .distributions import Distribution, DistributionError
 from .exprfn import TestFunction
 from .kernels import SmoothedDistribution, SteinKernel, smoothed_kernel
 from .numerics import NonFiniteError, NumericsError, rng_stream
-from .orderings import check_cx, check_nbue_nwue
+from .orderings import (HypothesisCheck, check_cx, check_nbue_nwue,
+                        check_shape, law_grid)
 from .transforms import ZeroBiasDistribution, zero_bias
 
 DEFAULT_N_MC = 10**6
 DEFAULT_REL_TOL = 1e-6
-HYP_GRID = 256
-HYP_SLACK = 1e-9
 CI99_Z = 2.5758293035489004  # two-sided 99% normal quantile
 DEGENERATE_VAR = 1e-12
 
@@ -77,26 +76,6 @@ class BoundError(Exception):
 
 class MissingGap(BoundError):
     """No E|W* - W| value available and no coupling to estimate it from."""
-
-
-@dataclass
-class HypothesisCheck:
-    name: str
-    holds: bool
-    max_violation: float = 0.0
-    witness: float | None = None
-    note: str = ""
-    required: bool = True  # informational verdicts don't gate the bound
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "verdict": "holds-on-grid" if self.holds else "fails",
-            "max_violation": float(self.max_violation),
-            "witness": None if self.witness is None else float(self.witness),
-            "note": self.note,
-            "required": bool(self.required),
-        }
 
 
 @dataclass
@@ -189,36 +168,6 @@ def _variance(d: Distribution) -> float:
         return d.var()
     except DistributionError:
         return math.nan
-
-
-def _hyp_grid(d: Distribution, grid_size: int = HYP_GRID):
-    eff = d.effective_interval(1e-9)
-    lo = eff.lo if math.isfinite(eff.lo) else -8.0
-    hi = eff.hi if math.isfinite(eff.hi) else 8.0
-    return np.linspace(lo, hi, grid_size)
-
-
-def _second_diff_check(name, values, grid, sign, note=""):
-    """Convexity (sign=+1) or concavity (sign=-1) via second differences."""
-    d2 = sign * np.diff(values, 2)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    worst = float(-np.min(d2)) if len(d2) else 0.0
-    if worst > HYP_SLACK * scale:
-        i = int(np.argmin(d2))
-        return HypothesisCheck(name, False, worst, float(grid[i + 1]), note)
-    return HypothesisCheck(name, True, max(worst, 0.0), note=note)
-
-
-def _monotone_check(name, values, grid, increasing: bool, note=""):
-    d1 = np.diff(values)
-    if not increasing:
-        d1 = -d1
-    scale = max(1.0, float(np.max(np.abs(values))))
-    worst = float(-np.min(d1)) if len(d1) else 0.0
-    if worst > HYP_SLACK * scale:
-        i = int(np.argmin(d1))
-        return HypothesisCheck(name, False, worst, float(grid[i]), note)
-    return HypothesisCheck(name, True, max(worst, 0.0), note=note)
 
 
 def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
@@ -414,19 +363,16 @@ def bound_convex_order(d: Distribution, g: TestFunction,
     continuous zero-bias stop-loss) and the convexity of g'^2 via second
     differences.  Either failure withholds the bound.
     """
-    star, checks = zero_bias(d), []
     try:
-        verdict = check_cx(star, d, tol=order_tol)
-        checks.append(HypothesisCheck("zero-bias-convex-order", verdict.holds,
-                                      verdict.max_violation, verdict.witness))
+        cx = check_cx(zero_bias(d), d, tol=order_tol)
+        cx.name = "zero-bias-convex-order"
     except (DistributionError, NumericsError) as exc:
-        checks.append(HypothesisCheck("zero-bias-convex-order", False,
-                                      math.inf, note=str(exc)))
-    grid = _hyp_grid(d)
-    checks.append(_second_diff_check("g-prime-squared-convex",
-                                     np.asarray(g.g1(grid))**2, grid, +1))
-    return _bound("convex", d, d.var(), g, None, d, checks, rel_tol=rel_tol,
-                  n_mc=n_mc, seed=seed, stream=6)
+        cx = HypothesisCheck("zero-bias-convex-order", False, note=str(exc))
+    grid = law_grid(d)
+    convex = check_shape("g-prime-squared-convex", grid,
+                         np.asarray(g.g1(grid))**2, 2, +1)
+    return _bound("convex", d, d.var(), g, None, d, [cx, convex],
+                  rel_tol=rel_tol, n_mc=n_mc, seed=seed, stream=6)
 
 
 # ------------------------------------------------------------- equilibrium
@@ -463,33 +409,28 @@ def bound_equilibrium(d: Distribution, g: TestFunction, branch: str,
     lam = 1.0 / mean
 
     nbue, nwue = check_nbue_nwue(d)
-    grid = _hyp_grid(d)
+    grid = law_grid(d)
     grid = grid[grid >= 0.0]
-    if branch == "a":
-        phi = _phi_g(g, lam)
-        h = phi(grid) + lam * grid * np.asarray(g.g1(grid), dtype=float)
-        name = "phi_g-plus-lam-x-gprime"
-    else:
-        h = np.asarray(g.g(grid), dtype=float) + grid * np.asarray(
-            g.g1(grid), dtype=float)
-        name = "g-plus-x-gprime"
-    inc = _monotone_check(name + "-increasing", h, grid, True)
-    dec = _monotone_check(name + "-decreasing", h, grid, False)
+    with np.errstate(all="ignore"):  # a non-finite h fails both checks
+        g1 = np.asarray(g.g1(grid), dtype=float)
+        if branch == "a":
+            h = _phi_g(g, lam)(grid) + lam * grid * g1
+            name = "phi_g-plus-lam-x-gprime"
+        else:
+            h = np.asarray(g.g(grid), dtype=float) + grid * g1
+            name = "g-plus-x-gprime"
+    inc = check_shape(name + "-increasing", grid, h, 1, +1)
+    dec = check_shape(name + "-decreasing", grid, h, 1, -1)
     if branch == "a":
         valid = (nbue.holds and inc.holds) or (nwue.holds and dec.holds)
     else:
         valid = (nbue.holds and dec.holds) or (nwue.holds and inc.holds)
-    inc.required = dec.required = False
-    checks = [
-        HypothesisCheck("nbue", nbue.holds, nbue.max_violation, nbue.witness,
-                        required=False),
-        HypothesisCheck("nwue", nwue.holds, nwue.max_violation, nwue.witness,
-                        required=False),
-        inc, dec,
-        HypothesisCheck(f"branch-{branch}-pairing", valid,
-                        note="ordering verdict paired with the matching "
-                             "monotonicity direction"),
-    ]
+    for check in (nbue, nwue, inc, dec):
+        check.required = False
+    checks = [nbue, nwue, inc, dec,
+              HypothesisCheck(f"branch-{branch}-pairing", valid,
+                              note="ordering verdict paired with the matching "
+                                   "monotonicity direction")]
     return _bound(f"equilibrium-{branch}", d, lambda x: x / lam, g,
                   _variance(d), d, checks, rel_tol=rel_tol, n_mc=n_mc,
                   seed=seed, stream=7, meta={"lambda": lam})
@@ -511,15 +452,15 @@ def bound_smoothed(s: SmoothedDistribution, g: TestFunction, claim: str,
     """
     if claim not in ("i", "ii"):
         raise BoundError(f"claim must be 'i' or 'ii', got {claim!r}")
-    grid = _hyp_grid(s)
+    grid = law_grid(s)
     if claim == "i":
         centre = s.expect(lambda x: g.g(x), rel_tol=rel_tol)
     else:
         centre, _ = _expect(s.base, lambda x: g.g(x), rel_tol, seed, n_mc, 8)
     shifted = (np.asarray(g.g(grid), dtype=float) - centre)**2
-    check = (_second_diff_check("shifted-square-convex", shifted, grid, +1)
+    check = (check_shape("shifted-square-convex", grid, shifted, 2, +1)
              if claim == "i" else
-             _second_diff_check("shifted-square-concave", shifted, grid, -1))
+             check_shape("shifted-square-concave", grid, shifted, 2, -1))
     return _bound(f"smoothed-{claim}", s, smoothed_kernel(s), g,
                   s.var(), s.base, [check], rel_tol=rel_tol, n_mc=n_mc,
                   seed=seed, meta={"epsilon": s.epsilon})

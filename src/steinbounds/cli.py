@@ -82,9 +82,10 @@ def load_schema() -> dict:
 def validate_report(payload: dict) -> None:
     """Structural check of a report payload against the published schema.
 
-    A lightweight validator (required keys and enum fields only) so the
-    package does not need a jsonschema dependency; raises CLIError on
-    violation.
+    A lightweight validator, so the package does not need a jsonschema
+    dependency: it checks the four top-level keys, the schema version, the
+    command name, and the result keys that command requires, not the
+    values under them.  Raises CLIError on violation.
     """
     for key in ("schema_version", "command", "seed", "results"):
         if key not in payload:

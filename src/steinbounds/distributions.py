@@ -1054,7 +1054,8 @@ _MAKERS = {
     "exponential": lambda p: Exponential(*_need(p, 1, "exponential")),
     "uniform": lambda p: Uniform(*_need(p, 2, "uniform")),
     "two-point": lambda p: two_point(*_need(p, 2, "two-point")),
-    "standardized-bernoulli": lambda p: standardized_bernoulli(p[0], int(p[1])),
+    "standardized-bernoulli": lambda p: standardized_bernoulli(
+        p[0], int(_need(p, 2, "standardized-bernoulli")[1])),
     "geometric-count": lambda p: GeometricCount(*_need(p, 1, "geometric-count")),
     "point-mass": lambda p: point_mass(*_need(p, 1, "point-mass")),
     "discrete-empirical": lambda p: DiscreteDistribution(p[::2], p[1::2]),
@@ -1073,14 +1074,20 @@ def make(family, params):
         maker = _MAKERS[family]
     except KeyError:
         raise InvalidParameter(f"unknown family {family!r}") from None
-    return maker(list(params))
+    params = list(params)
+    if not all(map(math.isfinite, params)):
+        raise InvalidParameter(f"{family} parameters must be finite: {params}")
+    return maker(params)
 
 
 def parse_dist(text: str):
     """Parse the "family:p1,p2,..." string syntax."""
     if ":" in text:
         family, _, tail = text.partition(":")
-        params = [float(t) for t in tail.split(",") if t.strip()]
+        try:
+            params = [float(t) for t in tail.split(",") if t.strip()]
+        except ValueError as exc:
+            raise InvalidParameter(f"{text!r}: {exc}") from None
     else:
         family, params = text, []
     return make(family.strip(), params)

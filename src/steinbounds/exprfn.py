@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Interval, linear_grid
+from .numerics import Interval
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
 
@@ -392,7 +392,7 @@ def make_test_function(e, effective: Interval, probe_count: int = 256,
     d2 = d1.diff()
     lo = effective.lo if effective.lo_finite else -8.0
     hi = effective.hi if effective.hi_finite else 8.0
-    grid = linear_grid(lo, hi, probe_count)
+    grid = np.linspace(lo, hi, probe_count)
     if check:
         _check_derivative(e, d1, grid)
     with np.errstate(all="ignore"):  # 0 * inf at a support edge is nan

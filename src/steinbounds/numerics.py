@@ -1,4 +1,4 @@
-"""Shared numerical substrate: quadrature, root finding, grids, RNG streams.
+"""Shared numerical substrate: quadrature, root finding, RNG streams.
 
 Every expectation in the package is one call of `integrate`, a
 vectorised panel rule: the interval is cut at the caller's points (a law's
@@ -238,11 +238,3 @@ def _bracket(F, p, iv: Interval):
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Deterministic stream; distinct stream_ids are independent."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream_id)]))
-
-
-def linear_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
-def central_diff(f, x, h: float = 1e-5):
-    return (f(x + h) - f(x - h)) / (2.0 * h)

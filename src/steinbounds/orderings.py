@@ -1,11 +1,13 @@
-"""Grid-checked stochastic order, convex order, and NBUE/NWUE verdicts.
+"""Grid-checked hypotheses on a law (stochastic and convex order, NBUE/NWUE,
+the counting condition) or on a function of x (monotone, convex).
 
-These are necessary-condition checks at finitely many points, never proofs;
-verdicts are reported as holds-on-grid or fails with a witness.
+These are necessary-condition checks at finitely many points, never proofs.
+Every verdict is a HypothesisCheck built by one rule, verdict().
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,32 +20,59 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass
-class OrderVerdict:
-    relation: str  # st | cx | nbue | nwue | counting
-    grid: np.ndarray
-    max_violation: float
+class HypothesisCheck:
+    name: str
     holds: bool
-    tolerance: float
+    max_violation: float = 0.0
     witness: float | None = None  # grid point of the worst violation on failure
+    note: str = ""
+    required: bool = True  # informational verdicts don't gate the bound
 
     def to_dict(self):
         return {
-            "relation": self.relation,
+            "name": self.name,
             "verdict": "holds-on-grid" if self.holds else "fails",
             "max_violation": float(self.max_violation),
-            "tolerance": float(self.tolerance),
             "witness": None if self.witness is None else float(self.witness),
+            "note": self.note,
+            "required": bool(self.required),
         }
 
 
-def _verdict(relation, grid, violations, tol):
+def verdict(name, grid, violations, tol, note="") -> HypothesisCheck:
+    """Holds when no violation exceeds tol, else fails at the worst one.  A
+    violation that is not finite fails at its grid point, with the largest
+    finite violation as max_violation and the reason in note."""
     violations = np.asarray(violations, dtype=float)
-    worst = float(np.max(violations)) if len(violations) else 0.0
-    worst = max(worst, 0.0)
-    if worst > tol:
-        witness = float(np.asarray(grid)[int(np.argmax(violations))])
-        return OrderVerdict(relation, np.asarray(grid), worst, False, tol, witness)
-    return OrderVerdict(relation, np.asarray(grid), worst, True, tol)
+    finite = np.isfinite(violations)
+    worst = float(np.max(violations, where=finite, initial=0.0))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        note = (f"{note}; " if note else "") + (
+            f"non-finite value at x = {grid[i]:g}: the check cannot be evaluated")
+    elif worst > tol:
+        i = int(np.argmax(violations))
+    else:
+        return HypothesisCheck(name, True, worst, note=note)
+    return HypothesisCheck(name, False, worst, float(grid[i]), note)
+
+
+def law_grid(d: Distribution, grid_size: int = DEFAULT_GRID):
+    """Evenly spaced grid over the law's effective interval, cut at +-8."""
+    eff = d.effective_interval(1e-9)
+    lo = eff.lo if math.isfinite(eff.lo) else -8.0
+    hi = eff.hi if math.isfinite(eff.hi) else 8.0
+    return np.linspace(lo, hi, grid_size)
+
+
+def check_shape(name, grid, values, order: int, sign: int) -> HypothesisCheck:
+    """sign times the order-th differences of values is >= 0 on the grid:
+    increasing (order 1, sign +1), decreasing (1, -1), convex (2, +1) or
+    concave (2, -1), at tolerance DEFAULT_TOL * max(1, max|values|)."""
+    with np.errstate(invalid="ignore"):
+        diffs = sign * np.diff(values, order)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return verdict(name, grid[order - 1:-1], -diffs, DEFAULT_TOL * scale)
 
 
 def _shared_grid(d1: Distribution, d2: Distribution, grid_size: int):
@@ -67,16 +96,16 @@ def _shared_grid(d1: Distribution, d2: Distribution, grid_size: int):
 
 
 def check_st(d1: Distribution, d2: Distribution, grid_size: int = DEFAULT_GRID,
-             tol: float = DEFAULT_TOL) -> OrderVerdict:
+             tol: float = DEFAULT_TOL) -> HypothesisCheck:
     """d1 <=_st d2: P(X > t) <= P(Y > t) on the grid."""
     grid = _shared_grid(d1, d2, grid_size)
     s1 = np.asarray(d1.survival(grid), dtype=float)
     s2 = np.asarray(d2.survival(grid), dtype=float)
-    return _verdict("st", grid, s1 - s2, tol)
+    return verdict("st", grid, s1 - s2, tol)
 
 
 def check_cx(d1: Distribution, d2: Distribution, grid_size: int = DEFAULT_GRID,
-             tol: float = DEFAULT_TOL, mean_tol: float = 1e-7) -> OrderVerdict:
+             tol: float = DEFAULT_TOL, mean_tol: float = 1e-7) -> HypothesisCheck:
     """d1 <=_cx d2 via equal means plus the stop-loss comparison
     E[(X - t)_+] <= E[(Y - t)_+] on the grid."""
     m1, m2 = d1.mean(), d2.mean()
@@ -86,7 +115,7 @@ def check_cx(d1: Distribution, d2: Distribution, grid_size: int = DEFAULT_GRID,
     grid = _shared_grid(d1, d2, grid_size)
     sl1 = np.asarray(stop_loss(d1, grid), dtype=float)
     sl2 = np.asarray(stop_loss(d2, grid), dtype=float)
-    return _verdict("cx", grid, sl1 - sl2, tol)
+    return verdict("cx", grid, sl1 - sl2, tol)
 
 
 def check_nbue_nwue(d: Distribution, grid_size: int = DEFAULT_GRID,
@@ -102,14 +131,13 @@ def check_nbue_nwue(d: Distribution, grid_size: int = DEFAULT_GRID,
     grid = grid[grid >= 0.0]
     s_base = np.asarray(d.survival(grid), dtype=float)
     s_eq = np.asarray(eq.survival(grid), dtype=float)
-    nbue = _verdict("nbue", grid, s_eq - s_base, tol)
-    nwue = _verdict("nwue", grid, s_base - s_eq, tol)
-    return nbue, nwue
+    return (verdict("nbue", grid, s_eq - s_base, tol),
+            verdict("nwue", grid, s_base - s_eq, tol))
 
 
 def check_counting_condition(n_dist: Distribution, n_max: int = 64,
                              tol: float = DEFAULT_TOL,
-                             tail_mass: float = 1e-12) -> OrderVerdict:
+                             tail_mass: float = 1e-12) -> HypothesisCheck:
     """Random-sum NWUE sufficient condition on the count variable N:
 
         sum_k P(N > n+k+1) >= P(N > n) * sum_k P(N > k),  n = 0, 1, ...
@@ -139,4 +167,4 @@ def check_counting_condition(n_dist: Distribution, n_max: int = 64,
         rhs = s[n] * total
         grid.append(float(n))
         violations.append(rhs - lhs)
-    return _verdict("counting", grid, violations, tol)
+    return verdict("counting", grid, violations, tol)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .distributions import Distribution, TailMoments, _like, _weigh, tail_panels
-from .numerics import Interval, integrate, linear_grid
+from .numerics import Interval, integrate
 
 
 class TransformError(Exception):
@@ -72,8 +72,12 @@ class ZeroBiasDistribution(_TabulatedLaw):
         else:
             self._init_continuous(cdf_grid)
         xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
-        # E[(W* - x)_+] at the nodes xs, read by stop_loss
+        # E[(W* - x)_+] at the nodes xs, read by stop_loss: trapezoid panels,
+        # plus h^2/12 (p*_i+1 - p*_i) each for a continuous base (Hermite)
         steps = 0.5 * (surv[1:] + surv[:-1]) * np.diff(xs)
+        if not self._discrete:
+            self._tails = self._tail(xs)
+            steps += np.diff(xs) ** 2 / 12.0 * np.diff(self._tails) / var
         self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
         self._tabulate(xs, self._cdf_vals)
 
@@ -160,15 +164,22 @@ class ZeroBiasDistribution(_TabulatedLaw):
         return self.base.expect(lambda x: x**3) / (2.0 * self.sigma2)
 
     def stop_loss(self, t):
-        """E[(W* - t)_+] = int_t^hi (1 - F*(y)) dy by the trapezoid rule on
-        the cdf table, from t to the next node and node to node beyond it:
-        exact for a discrete base (piecewise-linear cdf), table accuracy
-        (~1e-8 in the bulk) for a continuous one."""
+        """E[(W* - t)_+] = int_t^hi (1 - F*(y)) dy on the cdf table, from t
+        to the next node and node to node beyond it: the trapezoid rule,
+        exact for a discrete base (piecewise-linear cdf); for a continuous
+        one the cubic Hermite rule with slopes -p*, within 2e-10 on N(0, 1)
+        and 2e-9 on a centered Gamma(2, 1) (the table omits ~1e-9 of mass)."""
         xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
         tc = np.clip(t, xs[0], xs[-1])
         j = np.clip(np.searchsorted(xs, tc, side="right"), 1, len(xs) - 1)
-        out = self._sl_table[j] + 0.5 * (xs[j] - tc) * (
-            1.0 - np.interp(tc, xs, self._cdf_vals) + surv[j])
+        h = xs[j] - tc
+        if self._discrete:
+            out = self._sl_table[j] + 0.5 * h * (
+                1.0 - np.interp(tc, xs, self._cdf_vals) + surv[j])
+        else:
+            dp = (self._tails[j] - self._tail(tc)) / self.sigma2  # p*: T/sigma^2
+            out = self._sl_table[j] + 0.5 * h * (
+                1.0 - self._cdf(tc) + surv[j]) + h * h / 12.0 * dp
         # below the table E[W*] - t, with P(W* >= xs[0]) = 1
         return np.where(t < xs[0], self._sl_table[0] + xs[0] - t, out)
 
@@ -276,7 +287,7 @@ class EquilibriumDistribution(_TabulatedLaw):
             else:
                 hi = base.effective_interval(1e-12).hi
         self.support = Interval(0.0, hi)
-        xs = linear_grid(0.0, hi, cdf_grid)
+        xs = np.linspace(0.0, hi, cdf_grid)
         self._tabulate(xs, self.cdf(xs))
 
     def survival(self, x):

@@ -246,6 +246,12 @@ PAYLOAD_COMMANDS = [
     ["posterior", "--pair", "uniform-pareto", "--alpha", "3", "--beta", "1",
      "--n", "5", "--max", "2", "--g", "x + x^2/8", "--n-mc", "10000"],
     ["verify", "two-point-cx", "--seed", "11"],
+    # g'(0) is infinite, so the monotonicity checks fail and withhold
+    ["bound", "--dist", "exp:1", "--g", "sqrt(x)", "--method",
+     "equilibrium-a", "--n-mc", "10000"],
+    # the means of W* and W differ, so the convex-order premise fails
+    ["bound", "--dist", "two-point:1,2", "--g", "sin(x)", "--method",
+     "convex", "--n-mc", "10000"],
 ]
 
 
@@ -272,8 +278,12 @@ def test_payload_matches_schema(tmp_path, argv):
      "smoothed-ii", "--epsilon", "inf"],
     ["kernel", "--dist", "two-point:1,1", "--route", "smoothed", "--x", "0",
      "--epsilon", "0"],
+    *(["bound", "--dist", dist, "--g", "x", "--method", "cacoullos"]
+      for dist in ("standardized-bernoulli:0.3", "normal:a,1", "normal:nan,1",
+                   "gamma:inf,1", "normal:0,inf", "uniform:0,inf")),
 ], ids=["gap-negative", "gap-nan", "epsilon-negative", "epsilon-inf",
-        "kernel-epsilon-zero"])
+        "kernel-epsilon-zero", "dist-count", "dist-text", "dist-nan",
+        "dist-inf-shape", "dist-inf-variance", "dist-inf-end"])
 def test_invalid_gap_and_epsilon_are_usage_errors(argv, capsys):
     # a negative gap once printed upper = -9.43 with exit 0
     assert cli.main(argv + ["--n-mc", "1000"] if argv[0] == "bound"

@@ -9,9 +9,8 @@ from steinbounds.bounds import bound_zero_bias
 from steinbounds.distributions import Pareto, centered
 from steinbounds.exprfn import make_test_function
 from steinbounds.numerics import (MAX_EVALS, REAL_LINE, IntegrationError,
-                                  Interval, NonFiniteError, central_diff,
-                                  integrate, integrate_soft, inverse_cdf,
-                                  linear_grid, rng_stream)
+                                  Interval, NonFiniteError, integrate,
+                                  integrate_soft, inverse_cdf, rng_stream)
 from steinbounds.transforms import zero_bias
 
 
@@ -133,12 +132,3 @@ def test_rng_stream_reproducible_and_independent():
     c = rng_stream(7, 4).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_grids():
-    lg = linear_grid(0.0, 1.0, 11)
-    assert np.allclose(lg, np.linspace(0.0, 1.0, 11))
-
-
-def test_central_diff():
-    assert central_diff(np.sin, 0.3) == pytest.approx(math.cos(0.3), abs=1e-8)

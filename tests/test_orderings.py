@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from steinbounds.distributions import (DiscreteDistribution,
@@ -5,7 +6,8 @@ from steinbounds.distributions import (DiscreteDistribution,
                                        GeometricCount, Uniform, point_mass,
                                        random_sum, two_point)
 from steinbounds.orderings import (check_counting_condition, check_cx,
-                                   check_nbue_nwue, check_st)
+                                   check_nbue_nwue, check_shape, check_st,
+                                   verdict)
 from steinbounds.transforms import zero_bias
 
 
@@ -59,3 +61,15 @@ def test_verdict_to_dict():
     d = v.to_dict()
     assert d["verdict"] == "holds-on-grid"
     assert d["max_violation"] >= 0.0
+
+
+def test_non_finite_value_fails_the_check():
+    # a NaN once gave holds = True with max_violation = nan
+    grid = np.linspace(0.0, 1.0, 5)
+    v = verdict("cx", grid, [0.0, 1e-3, np.nan, 2e-3, np.inf], 1e-9)
+    assert not v.holds
+    assert v.max_violation == 2e-3
+    assert v.witness == 0.5
+    assert "non-finite" in v.note
+    h = check_shape("h-increasing", grid, [np.nan, 1.0, 2.0, 3.0, 4.0], 1, +1)
+    assert not h.holds and h.witness == 0.0 and h.max_violation == 0.0

@@ -140,6 +140,16 @@ def test_stop_loss_of_zero_bias_two_point():
             (2.0 - t) ** 2 / 6.0, abs=1e-9)
 
 
+def test_stop_loss_of_zero_bias_gaussian():
+    # W* = W on N(0, 1): E[(W - t)_+] = phi(t) - t (1 - Phi(t)), at the
+    # table's nodes and between them
+    star = zero_bias(Gaussian(0.0, 1.0))
+    t = np.concatenate([np.linspace(-4.0, 4.0, 161),
+                        np.linspace(-4.0, 4.0, 37) + 0.0123])
+    exact = norm.pdf(t) - t * norm.sf(t)
+    assert np.max(np.abs(stop_loss(star, t) - exact)) < 1e-8
+
+
 def test_equilibrium_exponential_fixed_point():
     spec = equilibrium(Exponential(2.0))
     assert spec.lam == pytest.approx(2.0)
