@@ -140,22 +140,19 @@ class Distribution:
             self._quantile_grid = np.asarray(q, dtype=float)
         return self._quantile_grid
 
-    def stop_loss(self, t):
-        """E[(W - t)_+] at the points of the 1-d array t: the atoms summed,
-        plus U1(t) - t U0(t) from a tail-moment table of the continuous
-        part."""
-        vals, probs = self.atoms()
-        out = np.sum(probs[None, :] * np.maximum(vals[None, :] - t[:, None], 0.0),
-                     axis=1)
-        if self.continuous_weight > 1e-12:
-            if not self.has_density:
-                raise DistributionError(
-                    f"{self.family}: stop-loss needs atoms or a density")
+    def tail_moments(self) -> TailMoments:
+        """The law's TailMoments table, over its effective interval with
+        STOP_LOSS_NODES nodes, built once per law."""
+        if "_tail_moments" not in self.__dict__:
             eff = self.effective_interval(1e-9)
-            _, _, _, u0, u1, _ = TailMoments(self, eff.lo, eff.hi,
-                                             STOP_LOSS_NODES)(t)
-            out = out + u1 - t * u0
-        return out
+            self._tail_moments = TailMoments(self, eff.lo, eff.hi, STOP_LOSS_NODES)
+        return self._tail_moments
+
+    def stop_loss(self, t):
+        """E[(W - t)_+] = U1(t) - t U0(t) at the points of the 1-d array t,
+        read from the law's tail-moment table (atoms, density or both)."""
+        _, _, _, u0, u1, _ = self.tail_moments()(t)
+        return u1 - t * u0
 
     def effective_interval(self, tail_mass: float = TAIL_MASS) -> Interval:
         """Quantile range [q(tail_mass), q(1-tail_mass)], clipped to support."""
@@ -949,34 +946,52 @@ def _composite_grid(d: Distribution, lo: float, hi: float, n: int):
 
 
 class TailMoments:
-    """The tail moments of a law's density, tabulated once, read anywhere.
+    """The tail moments of a law, tabulated once, read anywhere.
 
     Read at points x, the table returns a (6,) + x.shape array: the lower
-    moments L_k(x) = int_lo^x y^k p(y) dy, then the upper moments
-    U_k(x) = int_x^hi y^k p(y) dy, for k = 0, 1, 2 (lo, hi: the support).
+    moments L_k(x) = E[W^k; W <= x], then the upper moments
+    U_k(x) = E[W^k; W > x], for k = 0, 1, 2.  Atoms and density alike:
+    each read is the sum of the two parts.
 
-    The nodes are a composite grid with about n points over [lo_t, hi_t],
-    which should reach each finite support edge.  Each panel between nodes
-    is summed by 16-point Gauss-Legendre; L is accumulated from the bottom
-    and U from the top, so each is accurate in relative terms on its own
-    short side.  Where [lo_t, hi_t] stops short of the support, the tail
-    beyond it comes from tail_panels.  Between nodes a read is the cubic
-    Hermite interpolant whose slopes are the exact derivatives +-x^k p(x);
-    beyond the nodes it is tail_panels at x.
+    The atoms are summed exactly, as step functions: their moments are
+    accumulated from the bottom for L and from the top for U, and a read
+    finds its step by searchsorted (steps(x) is that part alone).  Every
+    atom is a node.
+
+    The density part, skipped for a law that is only atoms, is tabulated on
+    a composite grid with about n points over [lo_t, hi_t], which should
+    reach each finite support edge.  Each panel between nodes is summed by
+    16-point Gauss-Legendre; L is accumulated from the bottom and U from the
+    top, so each is accurate in relative terms on its own short side.
+    Where the nodes stop short of the support, the tail beyond them comes
+    from tail_panels.  Between nodes a read is the cubic Hermite
+    interpolant whose slopes are the exact derivatives +-x^k p(x); beyond
+    the nodes it is tail_panels at x.
     """
 
     def __init__(self, d: Distribution, lo_t: float, hi_t: float, n: int):
         self.d = d
         self.scale = (hi_t - lo_t) / 64.0
-        xs = _composite_grid(d, lo_t, hi_t, n)
+        atoms, probs = d.atoms()
+        per_atom = np.stack([probs, probs * atoms, probs * atoms * atoms], -1)
+        zero = np.zeros((1, 3))
+        self.atoms = atoms
+        self._steps = np.concatenate(
+            [np.concatenate([zero, np.cumsum(per_atom, axis=0)]),
+             np.concatenate([np.cumsum(per_atom[::-1], axis=0)[::-1], zero])], 1)
+        if d.only_atoms:
+            self.xs, self._coef = atoms, None
+            return
+        if not d.has_density:
+            raise DistributionError(f"{d.family}: tail moments need atoms or a density")
+        xs = np.union1d(_composite_grid(d, lo_t, hi_t, n), atoms)
         y, w = panel_rule(xs[:-1], xs[1:])
         seg = _weighted_moments(y, _finite(d.density(y)) * w)
         below, above = np.zeros(3), np.zeros(3)
-        if lo_t > d.support.lo:
+        if xs[0] > d.support.lo:
             below = tail_panels(d, xs[0], -1, self.scale)[0]
-        if hi_t < d.support.hi:
+        if xs[-1] < d.support.hi:
             above = tail_panels(d, xs[-1], 1, self.scale)[0]
-        zero = np.zeros((1, 3))
         lower = below + np.concatenate([zero, np.cumsum(seg, axis=0)])
         upper = above + np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], zero])
         self.total = lower[-1] + above
@@ -993,8 +1008,15 @@ class TailMoments:
         self._coef = np.stack([vals[:-1], m0, (3 * secant - 2 * m0 - m1) / h,
                                (m0 + m1 - 2 * secant) / h ** 2]).transpose(0, 2, 1)
 
+    def steps(self, x):
+        """The atoms' part of the six moments at points x."""
+        i = np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right")
+        return np.moveaxis(self._steps[i], -1, 0)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        if self._coef is None:
+            return self.steps(x)
         xs = self.xs
         i = np.searchsorted(xs[1:-1], x, side="right")  # the panel of x
         t = x - xs[i]
@@ -1006,7 +1028,7 @@ class TailMoments:
                 if beyond.any():
                     out[:, beyond] = self._beyond(x.ravel()[beyond], side)
             out = out.reshape((6,) + x.shape)
-        return out
+        return out + self.steps(x) if len(self.atoms) else out
 
     def excess(self, x, mu):
         """int_x^hi (y - mu) p(y) dy at points x: U1 - mu U0, or mu L0 - L1

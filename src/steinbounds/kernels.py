@@ -122,9 +122,11 @@ def integral_kernel(d: Distribution, grid_points: int = 512) -> SteinKernel:
     from the lower side, mu L0(x) - L1(x), where the upper side would
     cancel.  Where the density has underflowed, tau is the value at the
     nearest node where it has not; negative rounding is clipped to 0.
+    The ratio needs a law without atoms: an atom's mass is in the tail
+    moment but not in p.
     """
-    if not d.has_density:
-        raise KernelError(f"{d.family}: integral kernel needs a density")
+    if not d.has_density or len(d.atoms()[0]):
+        raise KernelError(f"{d.family}: integral kernel needs a density and no atoms")
     mu = d.mean()
     eff = d.effective_interval(1e-9)
     table = TailMoments(d, eff.lo, eff.hi, grid_points)

@@ -1,7 +1,9 @@
 """Zero-bias and equilibrium transforms: each returns a law.
 
-zero_bias(d) is the law W* with E[W phi(W)] = sigma^2 E[phi'(W*)]; its
-density is sigma^-2 E[W 1(W > w)] on the convex hull of the support.
+zero_bias(d) is the law W* with E[W phi(W)] = sigma^2 E[phi'(W*)], which
+exists for every centered W with finite variance, whether W has atoms, a
+density or both; its density is sigma^-2 E[W 1(W > w)], read from one
+tail-moment table of W.
 equilibrium(d) is the law W^e with E[phi(W)] - phi(0) = (1/lambda)
 E[phi'(W^e)], whose survival is lambda * E[(W - x)_+].  Both tabulate
 their cdf once and answer quantile by interpolating it, so that a coupling
@@ -51,7 +53,11 @@ class _TabulatedLaw(Distribution):
 # ----------------------------------------------------------------- zero-bias
 
 class ZeroBiasDistribution(_TabulatedLaw):
-    """The W-zero-biased law; always continuous."""
+    """The W-zero-biased law of a centered W (Goldstein and Reinert, 1997):
+    density T(w)/sigma^2 with T(w) = E[W; W > w], a step between atoms, and
+    cdf (w T(w) + E[W^2; W <= w])/sigma^2, both read from one tail-moment
+    table of W, whose nodes (every atom among them) carry the quantile,
+    stop_loss and expect."""
 
     family = "zero-bias"
     has_density = True
@@ -66,61 +72,40 @@ class ZeroBiasDistribution(_TabulatedLaw):
         self.base = base
         self.sigma2 = var
         self.params = tuple(base.params)
-        self._discrete = base.only_atoms
-        if self._discrete:
-            self._init_discrete(*base.atoms())
-        else:
-            self._init_continuous(cdf_grid)
-        xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
-        # E[(W* - x)_+] at the nodes xs, read by stop_loss: trapezoid panels,
-        # plus h^2/12 (p*_i+1 - p*_i) each for a continuous base (Hermite)
-        steps = 0.5 * (surv[1:] + surv[:-1]) * np.diff(xs)
-        if not self._discrete:
-            self._tails = self._tail(xs)
-            steps += np.diff(xs) ** 2 / 12.0 * np.diff(self._tails) / var
-        self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
-        self._tabulate(xs, self._cdf_vals)
-
-    # discrete base: density is a step function between consecutive atoms,
-    # so the cdf is piecewise linear, exact in the (node, cdf) table
-    def _init_discrete(self, vals, probs):
-        if len(vals) < 2:
-            raise TransformError("degenerate discrete base")
-        self.support = Interval(float(vals[0]), float(vals[-1]))
-        # T(w) = sum_{v > w} v p_v, constant on [v_k, v_{k+1})
-        tail = np.cumsum((vals * probs)[::-1])[::-1]  # tail[k] = sum_{i>=k} v p
-        self._knots = vals
-        self._levels = np.maximum(tail[1:], 0.0) / self.sigma2  # on [v_k, v_{k+1})
-        cum = np.concatenate([[0.0], np.cumsum(self._levels * np.diff(vals))])
-        # guard against rounding: total mass must be 1
-        if abs(cum[-1] - 1.0) > 1e-9:
-            raise TransformError(
-                f"zero-bias mass {cum[-1]:.12g} != 1 (base not centered?)")
-        self._cdf_xs, self._cdf_vals = vals, cum / cum[-1]
-
-    def _init_continuous(self, cdf_grid):
-        """Tail-moment table of the base on about cdf_grid nodes over the
-        sampler range, and the cdf at its nodes for the quantile."""
-        base = self.base
         self.support = Interval(base.support.lo, base.support.hi)
         self._moments = TailMoments(base, *self._sampler_range(), cdf_grid)
         xs = self._moments.xs
-        self._cdf_xs = xs
-        self._cdf_vals = np.maximum.accumulate(self._cdf(xs))
+        m = self._moments(xs)
+        # F*(top node) = (L2 - top L1)/sigma^2 ~ 1 - 1e-9, with -L1 = U1 (W is
+        # centered) read from the upper side: top L1 loses 1e-6 at top = 2e9
+        mass = (m[2, -1] + xs[-1] * m[4, -1]) / var
+        if abs(mass - 1.0) > 1e-6:
+            raise TransformError(
+                f"zero-bias mass {mass:.12g} != 1 (base not centered?)")
+        cdf = np.maximum.accumulate(self._cdf(xs, m))
+        self._surv, self._density_tails = 1.0 - cdf, self._density_tail(xs, m)
+        # E[(W* - x)_+] at the nodes, read by stop_loss: the cubic Hermite rule
+        # on each panel, its slopes -p* from the density part (the atoms' part
+        # is constant between nodes), so the exact trapezoid for only atoms
+        steps = 0.5 * (self._surv[1:] + self._surv[:-1]) * np.diff(xs)
+        steps += np.diff(xs) ** 2 / 12.0 * np.diff(self._density_tails) / var
+        self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
+        self._tabulate(xs, cdf)
 
     def _sampler_range(self):
         """Range covering all but ~1e-9 of the zero-bias mass.
 
-        Each infinite side of the base's effective interval moves out by 0,
-        1, 2, 4, ... spans (at most 2^40) until the zero-bias mass beyond
-        it, E[W (W - w); W beyond w] / sigma^2, is at most 1e-9."""
+        Each infinite side of the base's effective interval where the base
+        has a density moves out by 0, 1, 2, 4, ... spans (at most 2^40)
+        until the zero-bias mass of the density beyond it,
+        E[W (W - w); W beyond w] / sigma^2, is at most 1e-9."""
         base = self.base
         eff = base.effective_interval(1e-9)
         reach = max(eff.hi - eff.lo, 1.0) * np.concatenate(
             [[0.0], 2.0 ** np.arange(41)])
         ends = [eff.lo, eff.hi]
         for k, side in enumerate((-1, 1)):
-            if math.isinf((base.support.lo, base.support.hi)[k]):
+            if base.has_density and math.isinf((base.support.lo, base.support.hi)[k]):
                 w = ends[k] + side * reach
                 m = tail_panels(base, w, side, (eff.hi - eff.lo) / 64.0)
                 small = (m[:, 2] - w * m[:, 1]) / self.sigma2 <= 1e-9
@@ -128,70 +113,60 @@ class ZeroBiasDistribution(_TabulatedLaw):
                 ends[k] = w[np.argmax(small)]
         return ends
 
-    def _tail(self, w):
-        """T(w) = int_w^hi y p(y) dy, read from the side of w that carries
-        less base mass: the base is centered, so T(w) = -L1(w), and on the
-        long side the moments nearly cancel."""
-        l0, l1, _, u0, u1, _ = self._moments(w)
+    @staticmethod
+    def _tail(m):
+        """T(w) = E[W; W > w] from the moments m at w, read from the side of
+        w that carries less mass: the base is centered, so T(w) = -L1(w),
+        and on the long side the moments nearly cancel."""
+        l0, l1, _, u0, u1, _ = m
         return np.maximum(np.where(l0 < u0, -l1, u1), 0.0)
 
-    def _cdf(self, w):
-        """F*(w) = (w T(w) + E[W^2 1(W <= w)]) / sigma^2, from the short
-        side of w as in _tail."""
-        l0, l1, l2, u0, u1, u2 = self._moments(w)
+    def _density_tail(self, w, m):
+        """The density part of T(w): T less the atoms' part, read from the
+        same side, so that it is exactly 0 for a base that is only atoms."""
+        s = self._moments.steps(w)
+        return self._tail(m) - np.where(m[0] < m[3], -s[1], s[4])
+
+    def _cdf(self, w, m):
+        """F*(w) from the moments m at w, from the short side as in _tail."""
+        l0, l1, l2, u0, u1, u2 = m
         out = np.where(l0 < u0, l2 - w * l1, self.sigma2 - u2 + w * u1)
         return np.clip(out / self.sigma2, 0.0, 1.0)
 
     def density(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._discrete:
-            idx = np.searchsorted(self._knots, x_arr, side="right") - 1
-            inside = (idx >= 0) & (idx < len(self._levels))
-            out = np.where(inside, self._levels[np.clip(idx, 0, len(self._levels) - 1)],
-                           0.0)
-        else:
-            out = self._tail(x_arr) / self.sigma2
-        return out if np.ndim(x) else float(out[0])
+        return _like(x, self._tail(self._moments(x)) / self.sigma2)
 
     def cdf(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = (np.interp(x_arr, self._cdf_xs, self._cdf_vals) if self._discrete
-               else self._cdf(x_arr))
-        return out if np.ndim(x) else float(out[0])
+        x = np.asarray(x, dtype=float)
+        return _like(x, self._cdf(x, self._moments(x)))
 
     def mean(self):
         # E[W phi(W)] = sigma^2 E[phi'(W*)] with phi = x^2/2
         return self.base.expect(lambda x: x**3) / (2.0 * self.sigma2)
 
     def stop_loss(self, t):
-        """E[(W* - t)_+] = int_t^hi (1 - F*(y)) dy on the cdf table, from t
-        to the next node and node to node beyond it: the trapezoid rule,
-        exact for a discrete base (piecewise-linear cdf); for a continuous
-        one the cubic Hermite rule with slopes -p*, within 2e-10 on N(0, 1)
-        and 2e-9 on a centered Gamma(2, 1) (the table omits ~1e-9 of mass)."""
-        xs, surv = self._cdf_xs, 1.0 - self._cdf_vals
+        """E[(W* - t)_+] = int_t^hi (1 - F*(y)) dy on the node table, from t
+        to the next node and node to node beyond it: the cubic Hermite rule
+        with slopes -p* of the density part, exact for a base that is only
+        atoms (piecewise-linear cdf), within 2e-10 on N(0, 1) and 2e-9 on a
+        centered Gamma(2, 1) (the table omits ~1e-9 of mass)."""
+        xs, surv = self._moments.xs, self._surv
         tc = np.clip(t, xs[0], xs[-1])
         j = np.clip(np.searchsorted(xs, tc, side="right"), 1, len(xs) - 1)
         h = xs[j] - tc
-        if self._discrete:
-            out = self._sl_table[j] + 0.5 * h * (
-                1.0 - np.interp(tc, xs, self._cdf_vals) + surv[j])
-        else:
-            dp = (self._tails[j] - self._tail(tc)) / self.sigma2  # p*: T/sigma^2
-            out = self._sl_table[j] + 0.5 * h * (
-                1.0 - self._cdf(tc) + surv[j]) + h * h / 12.0 * dp
+        m = self._moments(tc)
+        dp = (self._density_tails[j] - self._density_tail(tc, m)) / self.sigma2
+        out = self._sl_table[j] + 0.5 * h * (
+            1.0 - self._cdf(tc, m) + surv[j]) + h * h / 12.0 * dp
         # below the table E[W*] - t, with P(W* >= xs[0]) = 1
         return np.where(t < xs[0], self._sl_table[0] + xs[0] - t, out)
 
     def expect(self, f, rel_tol=1e-9, points=None):
-        """E[f(W*)]: one integrate call of f times the zero-bias density.
-
-        For a discrete base the density is a step between atoms, and the
-        panels are cut at the atoms.  For a continuous base the density is
-        T(x)/sigma^2, read from the tail-moment table, and the panels are
-        the table's own, over its range, which holds all but ~1e-9 of the
-        mass: the table's cubic reads are polynomials on each panel."""
-        knots = self._knots if self._discrete else self._moments.xs
+        """E[f(W*)]: one integrate call of f times the zero-bias density
+        T(x)/sigma^2 on the table's own panels, cut at every atom, over its
+        range, which holds all but ~1e-9 of the mass: the table's reads are
+        polynomials on each panel."""
+        knots = self._moments.xs
         pts = np.append(knots, [] if points is None else points)
         return integrate(lambda x: _weigh(self.density(x), f(x)),
                          Interval(float(knots[0]), float(knots[-1])),

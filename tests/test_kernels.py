@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from steinbounds.distributions import (Beta, Exponential, Gamma, Gaussian,
-                                       Pareto, Uniform, two_point)
+                                       GeometricCount, Pareto, Uniform,
+                                       random_sum, two_point)
 from steinbounds.kernels import (UnsupportedFamily, integral_kernel,
                                  kernel_identity_residual, pearson_kernel,
                                  pearson_ode_residual, smooth,
@@ -42,6 +43,14 @@ def test_integral_kernel_needs_density():
     from steinbounds.kernels import KernelError
     with pytest.raises(KernelError):
         integral_kernel(two_point(1.0, 1.0))
+
+
+def test_integral_kernel_refuses_atoms():
+    # an atom at 0 of mass 1/2 next to a density: tau = excess / p would
+    # leave the atom out, E[tau] = 2.307 against Var[W] = 3
+    from steinbounds.kernels import KernelError
+    with pytest.raises(KernelError, match="no atoms"):
+        integral_kernel(random_sum(GeometricCount(0.5), Exponential(1.0)))
 
 
 def test_identity_residual_small():

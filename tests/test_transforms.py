@@ -6,14 +6,19 @@ import pytest
 from scipy.stats import gamma, norm
 
 from steinbounds import distributions, kernels, numerics, transforms
-from steinbounds.distributions import (Exponential, Gamma, Gaussian, Uniform,
-                                       centered, point_mass,
+from steinbounds.bounds import bound_equilibrium, bound_zero_bias
+from steinbounds.distributions import (Beta, DiscreteDistribution,
+                                       Exponential, Gamma, Gaussian,
+                                       GeometricCount, Uniform, centered,
+                                       point_mass, random_sum,
                                        standardized_bernoulli,
                                        sum_of_independents, two_point)
+from steinbounds.exprfn import make_test_function
 from steinbounds.kernels import integral_kernel
 from steinbounds.numerics import rng_stream
 from steinbounds.transforms import (EquilibriumDistribution, NotCentered,
-                                    ZeroBiasDistribution, equilibrium,
+                                    TransformError, ZeroBiasDistribution,
+                                    equilibrium,
                                     stop_loss, zero_bias, zero_bias_sum)
 
 
@@ -65,6 +70,54 @@ def test_zero_bias_identity_mc():
     rhs = spec.sigma2 * spec.expect(lambda x: np.cos(x), rel_tol=1e-10)
     # the zero-bias density is tabulated; its stated accuracy budget is 1e-6
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def test_zero_bias_of_a_base_with_an_atom_and_a_density():
+    # W = a Geometric(1/2) count of Exp(1) summands, centered: an atom of
+    # mass 1/2 at -1 next to a density, Var[W] = 3
+    w = centered(random_sum(GeometricCount(0.5), Exponential(1.0)))
+    zb = zero_bias(w)
+    assert abs(zb.expect(lambda x: np.ones_like(x)) - 1.0) <= 1e-9
+    g = make_test_function("x", w.effective_interval(1e-9))
+    rep = bound_zero_bias(zb, g, n_mc=10**4, seed=0)
+    assert rep.lower == pytest.approx(3.0, abs=1e-6)
+    assert rep.upper == pytest.approx(3.0, abs=1e-6)
+    assert zb.mean() == pytest.approx(
+        w.expect(lambda x: x ** 3) / (2.0 * w.var()), rel=1e-12)
+
+
+def test_zero_bias_of_a_sum_with_rounded_atoms():
+    # the sum's atoms are rounded to 10 decimals, so their own mean is
+    # ~6e-10 while mean() is the parts' sum: the mass guard allows for it
+    zb = zero_bias(sum_of_independents([standardized_bernoulli(0.3, 30)] * 30))
+    assert zb.cdf(zb.support.hi) == 1.0
+    assert abs(zb.expect(lambda x: np.ones_like(x)) - 1.0) <= 1e-8
+
+
+def test_zero_bias_refuses_a_table_without_unit_mass():
+    # a base whose declared variance is not its own: F*(top node) = 1/2
+    class Halved(DiscreteDistribution):
+        def var(self):
+            return 2.0
+    with pytest.raises(TransformError, match="zero-bias mass"):
+        zero_bias(Halved([-1.0, 1.0], [0.5, 0.5]))
+
+
+def test_equilibrium_bound_builds_one_stop_loss_table(monkeypatch):
+    # the equilibrium law and the NBUE/NWUE check read the same base's
+    # stop-loss: its tail-moment table is built once, kept on the law
+    builds = []
+    init = distributions.TailMoments.__init__
+
+    def counted(self, *args):
+        builds.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(distributions.TailMoments, "__init__", counted)
+    d = Beta(2.0, 3.0)
+    g = make_test_function("x", d.effective_interval(1e-9))
+    bound_equilibrium(d, g, branch="a", n_mc=10**3, seed=0)
+    assert builds == [d]
 
 
 def test_zero_bias_sampling():
