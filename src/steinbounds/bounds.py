@@ -25,8 +25,11 @@ law of T2 (a one-sided method evaluates only its own side), then:
 
 * withholds the lower side, with meta.lower_note, unless 0 < var_w < inf;
 * raises NonFiniteError on any non-finite bound value;
-* attaches the Monte-Carlo variance of g(W), with its standard error and
-  99% confidence halfwidth (None when E[g(W)^4] is infinite);
+* attaches the Monte-Carlo oracle, mc_variance: the sample variance of
+  g(W), with the exact standard error of a sample variance and its 99%
+  confidence halfwidth.  The moments of g(W) in that standard error come
+  from quadrature of the law, as the bound's do, and both are None where
+  that quadrature does not show E[g(W)^4] finite;
 * withholds every promised side when a required hypothesis fails: the
   side stays None and its value moves to the diagnostics map.
 
@@ -45,7 +48,8 @@ import numpy as np
 from .distributions import Distribution, DistributionError
 from .exprfn import TestFunction
 from .kernels import SmoothedDistribution, SteinKernel, smoothed_kernel
-from .numerics import NonFiniteError, NumericsError, rng_stream
+from .numerics import (IntegrationError, NonFiniteError, NumericsError,
+                       rng_stream)
 from .orderings import (HypothesisCheck, check_cx, check_nbue_nwue,
                         check_shape, law_grid)
 from .transforms import ZeroBiasDistribution, zero_bias
@@ -54,6 +58,7 @@ DEFAULT_N_MC = 10**6
 DEFAULT_REL_TOL = 1e-6
 CI99_Z = 2.5758293035489004  # two-sided 99% normal quantile
 DEGENERATE_VAR = 1e-12
+MOMENT_REL_TOL = 1e-3  # quadrature tolerance of the oracle's moments of g(W)
 
 # Bound sides each method promises; a promised side coming back None means
 # it was withheld, and the CLI exits with EXIT_WITHHELD.
@@ -115,48 +120,59 @@ class BoundReport:
 
 # ------------------------------------------------------------ shared helpers
 
-def _variance_se(x):
-    """(sample variance, its standard error) of the values x.
+def _by_quadrature(d: Distribution) -> bool:
+    """Whether expectations over d go by quadrature: d has a density or
+    atoms.  A law with neither takes Monte Carlo."""
+    return d.has_density or len(d.atoms()[0]) > 0
 
-    The standard error comes from the asymptotic variance of the sample
-    variance, (m4 - (n-3)/(n-1) s^4)/n, with m4 the fourth central moment.
+
+def _sample_variance(y, central=None):
+    """(sample variance, its standard error, 99% halfwidth) of the values y.
+
+    The standard error is the exact one, sqrt((mu4 - (n-3)/(n-1) mu2^2)/n),
+    for the central moments central = (mu2, mu4) of the law of y.  Without
+    them, the sample's own variance and fourth central moment stand in.
     """
-    n = len(x)
-    s2 = float(np.var(x, ddof=1))
-    c = x - x.mean()
-    m4 = float(np.mean(c**4))
-    var_of_var = max(m4 - (n - 3) / (n - 1) * s2 * s2, 0.0) / n
-    return s2, math.sqrt(var_of_var)
-
-
-def mc_variance(sample_fn, g, seed: int, n_mc: int, stream_id: int = 0):
-    """(variance, se, ci99) of g(W) from n_mc draws."""
-    rng = rng_stream(seed, stream_id)
-    s2, se = _variance_se(np.asarray(g(sample_fn(rng, n_mc)), dtype=float))
+    n = len(y)
+    s2 = float(np.var(y, ddof=1))
+    if central is None:
+        c2 = (y - y.mean())**2
+        central = s2, float(np.mean(c2 * c2))
+    mu2, mu4 = central
+    se = math.sqrt(max(mu4 - (n - 3) / (n - 1) * mu2 * mu2, 0.0) / n)
     return s2, se, CI99_Z * se
 
 
-def fourth_moment_infinite(d: Distribution, g) -> bool:
-    """Whether E[g(W)^4] is infinite, decided from the law and g alone.
+def mc_variance(d: Distribution, g, seed: int, n_mc: int, stream_id: int = 0):
+    """(variance, se, ci99) of g(W), W ~ d: the sample variance of n_mc
+    draws on stream (seed, stream_id), its standard error and its 99%
+    confidence halfwidth.
 
-    With tail index a (P(W > x) ~ x^-a), E|W|^s is finite iff s < a, so
-    E[g(W)^4] is infinite iff 4 r >= a, r being g's polynomial growth: read
-    from the running maximum of |g| between 1e4 and 1e12 times the start of
-    the tail.  Lower-order terms of g bias r low, so 0.05 below the
-    threshold already counts as infinite.
+    Where d takes quadrature, the central moments mu2 and mu4 of g(W) are
+    one expectation at MOMENT_REL_TOL, centred at the sample mean, and se
+    and ci99 are None when it raises: E[g(W)^4] is then not shown finite.
+    On a law with neither density nor atoms they come from the sample.
     """
-    if not math.isfinite(d.tail_index):
-        return False
-    x = max(d.support.lo, 1.0) * np.geomspace(1.0, 1e12, 37)
-    with np.errstate(all="ignore"):
-        env = np.maximum.accumulate(np.abs(np.asarray(g(x), dtype=float)))
-        r = np.log(env[-1] / env[12]) / np.log(x[-1] / x[12])
-    return bool(4.0 * r >= d.tail_index - 0.05)
+    y = np.asarray(g(d.sample(rng_stream(seed, stream_id), n_mc)), dtype=float)
+    if not _by_quadrature(d):
+        return _sample_variance(y)
+    m = y.mean()
+
+    def central(x):
+        with np.errstate(all="ignore"):  # an overflow fails the quadrature
+            c2 = (np.asarray(g(x), dtype=float) - m)**2
+            return np.stack([c2, c2 * c2], axis=-1)
+
+    try:
+        mu2, mu4 = d.expect(central, rel_tol=MOMENT_REL_TOL)
+    except (NonFiniteError, IntegrationError):
+        return float(np.var(y, ddof=1)), None, None
+    return _sample_variance(y, (mu2, mu4))
 
 
 def _expect(d: Distribution, f, rel_tol, seed, n_mc, stream_id):
     """Expectation by quadrature when the law supports it, else MC."""
-    if d.has_density or len(d.atoms()[0]):
+    if _by_quadrature(d):
         return d.expect(f, rel_tol=rel_tol), "quadrature"
     est, _ = d.mc_expect(f, rng_stream(seed, stream_id), n_mc)
     return est, "mc"
@@ -210,12 +226,12 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
         raise NonFiniteError(f"{method} bound is not finite: g or the "
                              f"weight overflows under {law!r}")
 
-    var, se, ci = mc_variance(mc_law.sample, g, seed, n_mc)
-    if fourth_moment_infinite(mc_law, g):
-        se = ci = None
+    var, se, ci = mc_variance(mc_law, g, seed, n_mc)
+    if se is None:
         meta["mc_se_note"] = (
-            f"E[g(W)^4] is infinite (tail index {mc_law.tail_index:g}): the "
-            "sample variance has no standard error")
+            f"quadrature at rel_tol {MOMENT_REL_TOL:g} did not show E[g(W)^4] "
+            "finite, and it may be infinite: the sample variance has no "
+            "standard error")
     report = BoundReport(
         method="convex-order" if method == "convex" else method,
         lower=lower, upper=upper, mc_variance=var, mc_ci99=ci, mc_se=se,
@@ -286,7 +302,7 @@ def bound_generic(c: SteinCoupling, g: TestFunction,
             num_terms.std(ddof=1) / math.sqrt(n_mc))
         diagnostics["var_gamma"] = var_gamma
 
-    s2, se = _variance_se(np.asarray(g(w), dtype=float))
+    s2, se, ci = _sample_variance(np.asarray(g(w), dtype=float))
     reported = [s2, se, *diagnostics.values()] + [
         v for v in (lower, upper) if v is not None]
     if not np.all(np.isfinite(reported)):
@@ -294,7 +310,7 @@ def bound_generic(c: SteinCoupling, g: TestFunction,
                              "non-finite value on the Monte-Carlo draws")
     return BoundReport(
         method="generic", lower=lower, upper=upper,
-        mc_variance=s2, mc_se=se, mc_ci99=CI99_Z * se,
+        mc_variance=s2, mc_se=se, mc_ci99=ci,
         degenerate=s2 < DEGENERATE_VAR, diagnostics=diagnostics,
         meta={"seed": seed, "n_mc": n_mc, "route": "mc",
               "direction": c.direction, "g": g.source})

@@ -182,7 +182,7 @@ def _exit_code(report, sides):
 
 
 def _mc_line(report, what):
-    ci = ("no CI: E[g^4] is infinite" if report.mc_ci99 is None
+    ci = ("no CI: E[g^4] is not shown finite" if report.mc_ci99 is None
           else f"99% CI halfwidth {report.mc_ci99:.3g}")
     return f"  mc {what} = {report.mc_variance:.10g} ({ci})"
 

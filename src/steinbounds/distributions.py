@@ -69,7 +69,6 @@ class Distribution:
     has_density = False
 
     support = REAL_LINE
-    tail_index = math.inf  # a where P(W > x) ~ x^-a as x -> inf; inf if lighter
 
     def density(self, x):
         raise DistributionError(f"{self.family}: no density")
@@ -372,7 +371,6 @@ class InverseGamma(_StandardLaw):
         if a <= 0 or b <= 0:
             raise InvalidParameter("inverse-gamma requires a, b > 0")
         self.params = (a, b)
-        self.tail_index = a
         self.z_moments = (1.0 / (a - 1.0) if a > 1 else math.inf,
                           1.0 / ((a - 1.0) * (a - 1.0)) / (a - 2.0) if a > 2
                           else math.inf)
@@ -406,7 +404,6 @@ class Pareto(_StandardLaw):
         if shape <= 0 or scale <= 0:
             raise InvalidParameter("pareto requires shape, scale > 0")
         self.params = (shape, scale)
-        self.tail_index = shape
         super().__init__(0.0, scale, Interval(scale, math.inf))
 
     def _pdf(self, z):
@@ -627,7 +624,6 @@ class SamplerSum(Distribution):
         if not parts:
             raise InvalidParameter("need at least one part")
         self.parts = list(parts)
-        self.tail_index = min(p.tail_index for p in parts)
         self._mean = sum(p.mean() for p in parts)
         self._var = sum(p.var() for p in parts)
         lo = sum(p.support.lo for p in parts)
@@ -687,7 +683,6 @@ class RandomSum(Distribution):
             raise InvalidParameter("count distribution must sit on nonnegative integers")
         self.count_dist = count_dist
         self.summand = summand
-        self.tail_index = summand.tail_index
         self.params = tuple(count_dist.params) + tuple(summand.params)
         en, vn = count_dist.mean(), count_dist.var()
         ex, vx = summand.mean(), summand.var()
@@ -834,7 +829,6 @@ class Affine(Distribution):
         self.base = base
         self.shift = shift
         self.scale = scale
-        self.tail_index = base.tail_index
         self.params = tuple(base.params) + (shift, scale)
         self.has_density = base.has_density
         lo = scale * (base.support.lo + shift)

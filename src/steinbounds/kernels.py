@@ -236,25 +236,3 @@ def smoothed_kernel(s: SmoothedDistribution) -> SteinKernel:
 
     return SteinKernel(eval=tau, provenance="smoothed", base=s)
 
-
-# ------------------------------------------------------------- diagnostics
-
-def kernel_identity_residual(kernel: SteinKernel, phi, dphi,
-                             rel_tol: float = 1e-8, points=None) -> float:
-    """Cov[W, phi(W)] - E[tau(W) phi'(W)] by exact expectation."""
-    d = kernel.base
-    mu = d.mean()
-    cov = d.expect(lambda x: (x - mu) * phi(x), rel_tol=rel_tol, points=points)
-    rhs = d.expect(lambda x: kernel(x) * dphi(x), rel_tol=rel_tol, points=points)
-    return cov - rhs
-
-
-def pearson_ode_residual(kernel: SteinKernel, x, d: Distribution,
-                         h: float = 1e-6):
-    """p'(x)/p(x) + ((2 d1 + 1)(x - mu) + d2) / tau(x); zero for Pearson laws."""
-    if kernel.pearson_coeffs is None:
-        raise KernelError("kernel has no Pearson coefficients")
-    d1, d2, _, mu = kernel.pearson_coeffs
-    x = np.asarray(x, dtype=float)
-    logp = (np.log(d.density(x + h)) - np.log(d.density(x - h))) / (2 * h)
-    return logp + ((2 * d1 + 1) * (x - mu) + d2) / kernel(x)

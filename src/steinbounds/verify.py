@@ -11,7 +11,8 @@ Two layers:
   deterministic for a fixed seed.
 
 The Monte-Carlo oracle is bounds.mc_variance, whose 99% confidence
-halfwidth comes from the asymptotic normality of the sample variance.
+halfwidth comes from the asymptotic normality of the sample variance,
+with the law's own moments of g(W) in its standard error.
 Tolerances: quadrature comparisons at 1e-6 relative, MC comparisons at
 4 standard errors.
 """
@@ -207,7 +208,7 @@ def scenario_bernoulli_sum(params, seed):
     # closed-form remainder: Var[g(W)] <= E[g'(W)^2] + ||g'g''|| (p^2+q^2)/sqrt(npq)
     e_g1sq = w.expect(lambda x: g.g1(x) ** 2)
     upper = e_g1sq + g.sup_g1g2 * (p * p + q * q) / math.sqrt(n * p * q)
-    var, se, ci = mc_variance(w.sample, g, seed, n_mc, stream_id=10)
+    var, se, ci = mc_variance(w, g, seed, n_mc, stream_id=10)
     res.oracle = {"mc_variance": var, "mc_ci99": ci,
                   "e_g1_sq": e_g1sq, "upper": upper}
     res.check("upper-bound-holds-with-margin", var + MC_SIGMAS * se, upper,
@@ -254,7 +255,7 @@ def scenario_permutation(params, seed):
         res.oracle[f"upper[{g_src}]"] = upper
         res.check(f"remainder-bound-holds[{g_src}]", var_exact, upper,
                   1e-12, two_sided=False)
-        mc, se, _ = mc_variance(z.sample, g, seed, n_mc, stream_id=21)
+        mc, se, _ = mc_variance(z, g, seed, n_mc, stream_id=21)
         res.check(f"mc-matches-enumeration[{g_src}]", mc, var_exact,
                   MC_SIGMAS * se)
     return _finish(res, t0)

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from steinbounds.bounds import (BoundError, MissingGap, SteinCoupling,
+from steinbounds.bounds import (DEFAULT_REL_TOL, MOMENT_REL_TOL, BoundError,
+                                MissingGap, SteinCoupling,
                                 bound_cacoullos, bound_convex_order,
                                 bound_equilibrium, bound_generic,
                                 bound_smoothed, bound_zero_bias,
-                                bound_zero_bias_remainder,
-                                fourth_moment_infinite)
+                                bound_zero_bias_remainder, mc_variance)
 from steinbounds.distributions import (Beta, Exponential, Gamma, Gaussian,
                                        InverseGamma, Pareto, Uniform,
                                        centered, standardized_bernoulli,
@@ -143,21 +143,50 @@ def test_smoothed_claims():
         bound_smoothed(s, g, claim="iii")
 
 
-def test_fourth_moment_gate():
-    def gate(d, g_src):
-        return fourth_moment_infinite(
-            d, make_test_function(g_src, d.effective_interval(1e-9)))
+# (law, g, whether E[g(W)^4] is finite).  Near the threshold: Pareto(3)
+# has moments below 3, InverseGamma(a) below a.
+FOURTH_MOMENT_CASES = [
+    (Pareto(3.0, 1.0), "x", False),
+    (centered(Pareto(3.0, 1.0)), "x", False),
+    (Pareto(3.0, 1.0), "x^0.75", False),
+    (Pareto(3.0, 1.0), "x^0.7", True),
+    (InverseGamma(6.0, 6.0), "x + x^2/8", False),
+    (InverseGamma(4.0, 3.0), "x", False),
+    (InverseGamma(4.2, 3.0), "x", True),
+    (InverseGamma(5.0, 3.0), "x", True),
+    # light tails under a fast g: E[exp(4W)] and E[exp(W^2/2)] are infinite
+    (Exponential(1.0), "exp(x)", False),
+    (Gamma(2.0, 1.0), "exp(x)", False),
+    (Exponential(1.0), "2*exp(x/2)", False),
+    (Exponential(1.0), "exp(x/4)", False),
+    (Gaussian(0.0, 1.0), "exp(x^2/8)", False),
+    *((Pareto(3.0, 1.0), g_src, True) for g_src in
+      ("sin(x)/(1+x^2)", "x/(1+x^2)", "exp(-x^2)", "sin(x)")),
+    *((d, g_src, True)
+      for d in (Gaussian(0.0, 1.0), Beta(4.0, 8.0), Gamma(2.0, 1.0),
+                Exponential(1.0), Uniform(0.0, 1.0))
+      for g_src in ("x", "x + x^2/8")),
+    *((d, "exp(x)", True)
+      for d in (Gaussian(0.0, 1.0), Beta(4.0, 8.0), Uniform(0.0, 1.0))),
+]
 
-    assert gate(Pareto(3.0, 1.0), "x")
-    assert gate(centered(Pareto(3.0, 1.0)), "x")
-    assert gate(InverseGamma(6.0, 6.0), "x + x^2/8")
-    for g_src in ("sin(x)/(1+x^2)", "x/(1+x^2)", "exp(-x^2)", "sin(x)"):
-        assert not gate(Pareto(3.0, 1.0), g_src), g_src
-    assert not gate(InverseGamma(5.0, 3.0), "x")
-    for d in (Gaussian(0.0, 1.0), Beta(4.0, 8.0), Gamma(2.0, 1.0),
-              Exponential(1.0), Uniform(0.0, 1.0)):
-        for g_src in ("x", "x + x^2/8", "exp(x)"):
-            assert not gate(d, g_src), (d, g_src)
+
+def test_fourth_moment_gate():
+    # the error bar is null exactly where E[g(W)^4] is not shown finite
+    for d, g_src, finite in FOURTH_MOMENT_CASES:
+        g = make_test_function(g_src, d.effective_interval(1e-9))
+        var, se, ci = mc_variance(d, g, 0, 1000)
+        assert math.isfinite(var), (d, g_src)
+        assert (se is not None) == (ci is not None) == finite, (d, g_src)
+
+
+def test_inverse_gamma_sample_within_exact_error_bar():
+    # at this seed the sample's own fourth moment put s^2 5.1 standard
+    # errors below Var[W] = 0.1875; the exact standard error puts it 2.3 below
+    d = InverseGamma(5.0, 3.0)
+    g = make_test_function("x", d.effective_interval(1e-9))
+    var, se, _ = mc_variance(d, g, 1218, 10**4)
+    assert abs(var - d.var()) <= 4 * se
 
 
 def test_gated_report_has_no_error_bar():
@@ -179,29 +208,37 @@ def test_zero_bias_remainder_rejects_invalid_gap(gap):
 
 
 class _ShapeRecorder(Gaussian):
-    """A normal law that records the shape of every integrand's values."""
+    """A normal law that records, per expectation, its tolerance and the
+    shapes of the integrand's values."""
 
     def __init__(self):
         super().__init__(0.0, 1.0)
-        self.shapes = set()
+        self.calls = []
 
     def expect(self, f, rel_tol=1e-9, points=None):
+        shapes = set()
+        self.calls.append((rel_tol, shapes))
+
         def recorded(x):
             y = f(x)
-            self.shapes.add(np.shape(y)[1:])
+            shapes.add(np.shape(y)[1:])
             return y
         return super().expect(recorded, rel_tol=rel_tol, points=points)
 
 
 def test_one_expectation_per_bound_and_only_promised_columns():
+    # the bound's sides are one expectation of only the promised columns,
+    # and the oracle's error bar one expectation of the moments mu2, mu4
     g = make_test_function("sin(x)", IV8)
+    oracle = (MOMENT_REL_TOL, {(2,)})
     two = _ShapeRecorder()
     rep = bound_cacoullos(two, pearson_kernel(two), g, n_mc=100)
-    assert two.shapes == {(2,)}
+    assert two.calls == [(DEFAULT_REL_TOL, {(2,)}), oracle]
     assert rep.lower is not None and rep.upper is not None
     one = _ShapeRecorder()
     bound_convex_order(one, g, n_mc=100)
-    assert one.shapes == {()}
+    assert one.calls[-2:] == [(DEFAULT_REL_TOL, {()}), oracle]
+    assert all(shapes == {()} for _, shapes in one.calls[:-1])
 
 
 def test_cacoullos_matches_scalar_expectations():

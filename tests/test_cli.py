@@ -267,6 +267,23 @@ def test_payload_matches_schema(tmp_path, argv):
         assert payload["results"]["mc_ci99"] is None
 
 
+@pytest.mark.parametrize("argv, finite", [
+    # E[g(W)^4] is infinite on a light tail under a fast g
+    (["--dist", "exp:1", "--g", "2*exp(x/2)", "--method", "equilibrium-b"],
+     False),
+    (["--dist", "exp:1", "--g", "exp(x/4)", "--method", "cacoullos"], False),
+    (["--dist", "normal:0,1", "--g", "exp(x^2/8)", "--method", "cacoullos"],
+     False),
+    (["--dist", "invgamma:5,3", "--g", "x", "--method", "cacoullos"], True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_error_bar_only_where_fourth_moment_is_finite(tmp_path, argv, finite):
+    out = tmp_path / "r.json"
+    assert cli.main(["bound", *argv, "--n-mc", "10000", "--out", str(out)]) == 0
+    results = read_json(out)["results"]
+    assert (results["mc_se"] is not None) == finite
+    assert (results["mc_ci99"] is not None) == finite
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--dist", "normal:0,1", "--g", "sin(x)", "--method",
      "zero-bias-remainder", "--gap", "-10"],

@@ -23,7 +23,7 @@ def test_unknown_scenario():
 
 
 def test_mc_variance_gaussian_identity():
-    est, _, ci = mc_variance(GAUSS.sample, lambda x: x, 1, 10**5)
+    est, _, ci = mc_variance(GAUSS, lambda x: x, 1, 10**5)
     assert abs(est - 1.0) <= ci
 
 
