@@ -206,7 +206,7 @@ def cmd_kernel(args) -> int:
         base = k.base  # smoothed kernels live on the convolved law
         eff = base.effective_interval(1e-6)
         xs = np.linspace(eff.lo, eff.hi, args.grid)
-    tau = np.asarray([float(k(float(x))) for x in xs])
+    tau = np.asarray(k(xs), dtype=float)
     mean_tau = k.expected_value()
     var = k.base.var()
     results = {"distribution": args.dist, "route": args.route,

@@ -23,8 +23,7 @@ import numpy as np
 from scipy import special as _special
 from scipy.special import _ufuncs as _special_ufuncs
 
-from .numerics import (Interval, REAL_LINE, TAIL_EDGES, integrate,
-                       inverse_cdf, panel_rule)
+from .numerics import Interval, REAL_LINE, TAIL_EDGES, integrate, panel_rule
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
 TAIL_CHUNK = 16  # points per vectorised density call beyond a table
@@ -115,15 +114,9 @@ class Distribution:
         return vals, np.cumsum(probs)
 
     def quantile(self, p):
-        """The inverse cdf at p, a float or an array (a float gives a
-        float): on a law that is only atoms, the first atom whose
-        cumulative probability reaches p; else the root of cdf(x) = p."""
-        try:
-            vals, cum = self._atom_cum()
-        except DistributionError:
-            q = [inverse_cdf(lambda x: float(self.cdf(x)), float(u), self.support)
-                 for u in np.ravel(p)]
-            return _like(p, np.reshape(q, np.shape(p)))
+        """The inverse cdf at p (a float gives a float) of a law that is only
+        atoms: the first atom whose cumulative probability reaches p."""
+        vals, cum = self._atom_cum()
         idx = np.minimum(np.searchsorted(cum, p, side="left"), len(vals) - 1)
         return _like(p, vals[idx])
 
@@ -909,17 +902,14 @@ def tail_panels(d: Distribution, x, side: int, scale: float):
     return out
 
 
-def _composite_grid(d: Distribution, lo: float, hi: float, n: int):
-    """About n nodes over [lo, hi], graded by the quantiles of d.
-
-    Anchors sit at the quantiles of PROB_LEVELS inside [lo, hi], and each
-    gap between anchors is cut into equal steps, so that the spacing
-    follows the local scale of the law in the bulk and in the tails alike.
-    From the outermost anchors the steps widen geometrically out to lo and
-    hi, which may lie far beyond them; 48 geometric steps refine toward
-    each finite support edge, where a density can rise steeply from zero.
-    """
-    q = d.quantile_grid()
+def _composite_grid(q, lo: float, hi: float, n: int, support: Interval):
+    """About n nodes over [lo, hi], graded by the anchors q (a law's quantile
+    grid, say): each gap between anchors inside [lo, hi] is cut into equal
+    steps, so that the spacing follows the local scale of the law in the bulk
+    and in the tails alike.  From the outermost anchors the steps widen
+    geometrically out to lo and hi, which may lie far beyond them; 48
+    geometric steps refine toward each finite edge of the support, where a
+    density can rise steeply from zero."""
     inner = np.unique(q[(q > lo) & (q < hi)])
     if len(inner) < 2:
         inner = np.array([lo, hi])
@@ -933,7 +923,7 @@ def _composite_grid(d: Distribution, lo: float, hi: float, n: int):
             pieces.append(anchor + step * np.geomspace(
                 1.0, (end - anchor) / step, max(n // 8, 32)))
     span = inner[-1] - inner[0]
-    for edge, sgn in ((d.support.lo, 1.0), (d.support.hi, -1.0)):
+    for edge, sgn in ((support.lo, 1.0), (support.hi, -1.0)):
         if math.isfinite(edge):
             pieces.append(edge + sgn * span * np.geomspace(1e-9, 0.05, 48))
     return np.unique(np.clip(np.concatenate(pieces), lo, hi))
@@ -978,7 +968,7 @@ class TailMoments:
             return
         if not d.has_density:
             raise DistributionError(f"{d.family}: tail moments need atoms or a density")
-        xs = np.union1d(_composite_grid(d, lo_t, hi_t, n), atoms)
+        xs = np.union1d(_composite_grid(d.quantile_grid(), lo_t, hi_t, n, d.support), atoms)
         y, w = panel_rule(xs[:-1], xs[1:])
         seg = _weighted_moments(y, _finite(d.density(y)) * w)
         below, above = np.zeros(3), np.zeros(3)
@@ -1014,7 +1004,7 @@ class TailMoments:
         xs = self.xs
         i = np.searchsorted(xs[1:-1], x, side="right")  # the panel of x
         t = x - xs[i]
-        c = self._coef[:, :, i]
+        c = np.take(self._coef, i, axis=2)  # faster than fancy indexing
         out = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
         if x.size and not (xs[0] <= x.min() and x.max() <= xs[-1]):
             out = out.reshape(6, -1)

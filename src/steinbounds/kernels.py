@@ -5,8 +5,8 @@ Three construction routes:
 * pearson_kernel  - closed quadratic forms for the classical families;
 * integral_kernel - tau(x) = (1/p(x)) * integral_x^inf (y - mu) p(y) dy
                     read from the law's tail-moment table;
-* smoothed_kernel - the kernel of Y + Z for Gaussian noise Z, usable when
-                    Y itself has no density.
+* smoothed_kernel - the kernel of Y + Z, Z Gaussian, usable when Y has no
+                    density: one convolution over Z of Y's tail moments.
 
 The Pareto kernel is implemented in its nonnegative form
 theta*(theta - m)/(a - 1); see the README note on the sign convention.
@@ -20,15 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import Distribution, TailMoments, _weigh, normal_pdf
-from .numerics import Interval, integrate
+from .distributions import (STOP_LOSS_NODES, TAIL_CHUNK, Distribution, TailMoments,
+                            _composite_grid, _finite, _like, normal_pdf)
+from .numerics import panel_rule
+from .transforms import _TabulatedLaw
 
 DENSITY_FLOOR = 1e-300
-SMOOTH_PANELS = 64  # most panels of the epsilon grid of a smoothed law
-# Cuts around the centre of a Gaussian bump, in units of epsilon: the bump
-# is resolved, and is below 1e-13 of its peak past 8.
-BUMP_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
-MIX_CHUNK = 16  # points x per expectation over a base with a density
+# Edges of the z-panels of a smoothed law's convolution over Z, in units of
+# epsilon: the Gaussian factor is below 1e-13 of its peak past 8.
+Z_PANELS = np.arange(-8.0, 9.0)
+# More cuts where y = x - z is at a finite edge of the base and inside it, in
+# units of epsilon from it: they resolve the reads' root singularity there.
+EDGE_GRADING = np.append(0.0, np.geomspace(1e-8, 1.0, 7))
 
 
 class KernelError(Exception):
@@ -150,44 +153,73 @@ def integral_kernel(d: Distribution, grid_points: int = 512) -> SteinKernel:
 
 # ------------------------------------------------------------ smoothed route
 
-class SmoothedDistribution(Distribution):
-    """Law of Y + Z with Z ~ N(0, eps^2) independent of Y."""
+class SmoothedDistribution(_TabulatedLaw):
+    """Law of Y + Z with Z ~ N(0, eps^2) independent of Y.  Its cdf is
+    tabulated on a grid anchored at Y's atoms, quantile grid and quantiles
+    of 1e-13 and 1 - 1e-13, each +- 8 eps, whose range bounds expect."""
 
     family = "smoothed"
     has_density = True
+    _table = None  # Y's TailMoments, where Y has a density
 
     def __init__(self, base: Distribution, epsilon: float):
         if epsilon <= 0:
             raise KernelError("epsilon must be > 0")
-        self.base = base
-        self.epsilon = epsilon
+        self.base, self.epsilon, self._mu = base, epsilon, base.mean()
         self.params = tuple(base.params) + (epsilon,)
-        self.support = Interval(-math.inf, math.inf)
-        self._mu = base.mean()
+        atoms, probs = base.atoms()
+        reach = Z_PANELS[-1] * epsilon
+        bumps = (atoms[:, None] + epsilon * Z_PANELS).ravel()
+        anchors = np.concatenate([bumps, base.quantile_grid(),
+                                  base.quantile(np.array([1e-13, 1.0 - 1e-13]))])
+        lo, hi = anchors.min() - reach, anchors.max() + reach
+        if not base.only_atoms:  # the table holds every read of a node
+            sup = base.support
+            self._table = TailMoments(base, *sup.clip([lo - reach, hi + reach]),
+                                      STOP_LOSS_NODES)
+            self._edges = np.array([e for e in (sup.lo, sup.hi) if math.isfinite(e)])
+            self._y_cuts = (self._edges[:, None] - epsilon * np.outer(
+                np.sign(self._edges - self._mu), EDGE_GRADING)).ravel()
+        xs = _composite_grid(anchors, lo, hi, STOP_LOSS_NODES, self.support)
+        self._tabulate(xs, self._parts(xs)[1])
+        self._cuts = np.append(self.quantile_grid(), bumps)
 
-    def _mix(self, x, f, weight=lambda y: 1.0):
-        """E[weight(Y) f(x - Y)] over the law of Y for every x of the 1-d
-        array x, f varying on the scale of epsilon around 0: vector-valued
-        expectations, one for all x over atoms (a finite sum).  A base with
-        a density takes MIX_CHUNK points x at a time, each with BUMP_OFFSETS
-        cuts around y = x, so that the cost does not grow as eps shrinks."""
-        x, bump = np.asarray(x, dtype=float), self.epsilon * BUMP_OFFSETS
-        n = MIX_CHUNK if self.base.continuous_weight > 1e-12 else max(len(x), 1)
-        return np.concatenate([self.base.expect(
-            lambda y: _weigh(weight(y), f(xk - y[:, None])), rel_tol=1e-10,
-            points=(xk[:, None] - bump).ravel())
-            for xk in (x[k:k + n] for k in range(0, len(x), n))])
+    def _parts(self, x):
+        """(density, cdf, E[(Y - mu) SF_eps(x - Y)]) at the 1-d array x: Y's
+        atoms as Gaussian sums, plus int r(x - z) phi_eps(z) dz on the panels
+        eps * Z_PANELS of reads r(y) of the continuous part of Y's table: L0
+        for the cdf, the excess on x's side of Y's median for the numerator
+        (mu L0 - L1 + E[mu - Y; atoms] below, U1 - mu U0 above), and p(y) for
+        the density, but within 8 eps of a finite edge of Y, where p may be
+        unbounded, -int L0(x - z) phi_eps'(z) dz by parts (U0 above)."""
+        if len(x) > TAIL_CHUNK and self._table is not None:
+            return np.concatenate([self._parts(x[k:k + TAIL_CHUNK])
+                                   for k in range(0, len(x), TAIL_CHUNK)], 1)
+        eps, mu, reach = self.epsilon, self._mu, Z_PANELS[-1] * self.epsilon
+        atoms, probs = self.base.atoms()
+        t = (x[:, None] - atoms) / eps
+        out = np.stack([normal_pdf(t) @ probs / eps, ndtr(t) @ probs,
+                        ndtr(-t) @ (probs * (atoms - mu))])
+        if self._table is None:
+            return out
+        near = np.any(np.abs(x[:, None] - self._edges) < reach, 1)
+        zc = np.clip(x[:, None] - self._y_cuts, -reach, reach)
+        edges = np.sort(np.concatenate([np.tile(eps * Z_PANELS, (len(x), 1)), zc], 1), 1)
+        z, w = (v.reshape(len(x), -1) for v in panel_rule(edges[:, :-1], edges[:, 1:]))
+        w = w * normal_pdf(z / eps) / eps
+        y = x[:, None] - z
+        l0, l1, _, u0, u1, _ = self._table(y) - self._table.steps(y)
+        lower = (x < self.base.quantile(0.5))[:, None]
+        num = np.where(lower, mu * l0 - l1 + probs @ (mu - atoms), u1 - mu * u0)
+        by_parts = (w * z * np.where(lower, -l0, u0)).sum(1) / (eps * eps)
+        den = np.where(near, by_parts, (w * _finite(self.base.density(y))).sum(1))
+        return out + np.stack([den, (w * l0).sum(1), (w * num).sum(1)])
 
     def density(self, x):
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        eps = self.epsilon
-        out = self._mix(x1, lambda t: normal_pdf(t / eps) / eps)
-        return out if np.ndim(x) else float(out[0])
+        return _like(x, self._parts(np.ravel(x))[0].reshape(np.shape(x)))
 
     def cdf(self, x):
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._mix(x1, lambda t: ndtr(t / self.epsilon))
-        return out if np.ndim(x) else float(out[0])
+        return _like(x, self._parts(np.ravel(x))[1].reshape(np.shape(x)))
 
     def mean(self):
         return self._mu
@@ -198,41 +230,20 @@ class SmoothedDistribution(Distribution):
     def sample(self, rng, size):
         return self.base.sample(rng, size) + rng.normal(0.0, self.epsilon, size=size)
 
-    def expect(self, f, rel_tol=1e-9, points=None):
-        """E[f(Y + Z)] over the effective range (omitted mass < 1e-13), on
-        panels one epsilon wide, where the density is smooth, but at most
-        SMOOTH_PANELS of them; where that cap widens them, the base's
-        quantiles and BUMP_OFFSETS around its atoms are cut as well, so the
-        cost grows with the number of atoms, not with the range over eps."""
-        eff = self.effective_interval(1e-13)
-        eps = self.epsilon
-        step = max(eps, (eff.hi - eff.lo) / SMOOTH_PANELS)
-        cuts = [np.arange(eff.lo, eff.hi, step), [] if points is None else points]
-        if step > eps:
-            atoms, _ = self.base.atoms()
-            cuts += [(np.asarray(atoms)[:, None] + eps * BUMP_OFFSETS).ravel(),
-                     self.base.quantile_grid()]
-        return integrate(lambda x: _weigh(self.density(x), f(x)), eff,
-                         rel_tol=rel_tol, points=np.concatenate(cuts)).value
-
 
 def smooth(base: Distribution, epsilon: float) -> SmoothedDistribution:
     return SmoothedDistribution(base, epsilon)
 
 
 def smoothed_kernel(s: SmoothedDistribution) -> SteinKernel:
-    """Kernel tau_eps(x) = eps^2 + E[(Y'-mu) SF_eps(x-Y')] / E[pdf_eps(x-Y')]."""
+    """Kernel tau_eps(x) = eps^2 + E[(Y'-mu) SF_eps(x-Y')] / E[pdf_eps(x-Y')],
+    both read from one pass of the law's _parts."""
     eps = s.epsilon
-    mu = s.mean()
 
     def tau(x):
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        den = s.density(x1)
-        num = s._mix(x1, lambda t: ndtr(-(t / eps)), lambda y: y - mu)
+        den, _, num = s._parts(np.ravel(x))
         if np.any(den < DENSITY_FLOOR):
             raise DensityUnderflow("smoothed denominator underflow in the tails")
-        out = eps * eps + num / den
-        return out if np.ndim(x) else float(out[0])
+        return _like(x, (eps * eps + num / den).reshape(np.shape(x)))
 
     return SteinKernel(eval=tau, provenance="smoothed", base=s)
-

@@ -38,9 +38,11 @@ def stop_loss(d: Distribution, t):
 
 
 class _TabulatedLaw(Distribution):
-    """A law whose quantile interpolates its cdf, tabulated at nodes xs."""
+    """A law whose quantile interpolates its cdf, tabulated at nodes xs, and
+    whose expect integrates over their range, cut at the law's _cuts."""
 
     def _tabulate(self, xs, cdf):
+        self._range = Interval(float(xs[0]), float(xs[-1]))
         cdf = np.clip(cdf, 0.0, 1.0)
         keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
         self._q_xs, self._q_cdf = xs[keep], cdf[keep]
@@ -48,6 +50,12 @@ class _TabulatedLaw(Distribution):
 
     def quantile(self, p):
         return _like(p, np.interp(np.asarray(p, dtype=float), self._q_cdf, self._q_xs))
+
+    def expect(self, f, rel_tol=1e-9, points=None):
+        """E[f(W)]: one integrate call of f times the density."""
+        pts = np.append(self._cuts, [] if points is None else points)
+        return integrate(lambda x: _weigh(self.density(x), f(x)), self._range,
+                         rel_tol=rel_tol, points=pts).value
 
 
 # ----------------------------------------------------------------- zero-bias
@@ -91,6 +99,7 @@ class ZeroBiasDistribution(_TabulatedLaw):
         steps += np.diff(xs) ** 2 / 12.0 * np.diff(self._density_tails) / var
         self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
         self._tabulate(xs, cdf)
+        self._cuts = xs
 
     def _sampler_range(self):
         """Range covering all but ~1e-9 of the zero-bias mass.
@@ -160,17 +169,6 @@ class ZeroBiasDistribution(_TabulatedLaw):
             1.0 - self._cdf(tc, m) + surv[j]) + h * h / 12.0 * dp
         # below the table E[W*] - t, with P(W* >= xs[0]) = 1
         return np.where(t < xs[0], self._sl_table[0] + xs[0] - t, out)
-
-    def expect(self, f, rel_tol=1e-9, points=None):
-        """E[f(W*)]: one integrate call of f times the zero-bias density
-        T(x)/sigma^2 on the table's own panels, cut at every atom, over its
-        range, which holds all but ~1e-9 of the mass: the table's reads are
-        polynomials on each panel."""
-        knots = self._moments.xs
-        pts = np.append(knots, [] if points is None else points)
-        return integrate(lambda x: _weigh(self.density(x), f(x)),
-                         Interval(float(knots[0]), float(knots[-1])),
-                         rel_tol=rel_tol, points=pts).value
 
 
 def zero_bias(d: Distribution) -> ZeroBiasDistribution:
@@ -264,6 +262,7 @@ class EquilibriumDistribution(_TabulatedLaw):
         self.support = Interval(0.0, hi)
         xs = np.linspace(0.0, hi, cdf_grid)
         self._tabulate(xs, self.cdf(xs))
+        self._cuts = self.quantile_grid()
 
     def survival(self, x):
         # lambda * integral_x^inf P(W > y) dy = lambda * E[(W - x)_+]

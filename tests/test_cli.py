@@ -111,6 +111,28 @@ def test_smoothed_tiny_epsilon_on_atoms(epsilon, capsys):
     assert "underflow" in capsys.readouterr().err
 
 
+def test_kernel_smoothed_on_unbounded_density(tmp_path):
+    # the density of Beta(0.5, 0.7) is unbounded at both support edges
+    out = tmp_path / "k.json"
+    assert cli.main(["kernel", "--dist", "beta:0.5,0.7", "--route", "smoothed",
+                     "--epsilon", "0.1", "--out", str(out)]) == 0
+    results = read_json(out)["results"]
+    assert abs(results["identity_gap"]) <= 1e-9 * results["variance"]
+
+
+@pytest.mark.parametrize("a, b, epsilon", [
+    (a, b, eps) for a in ("0.5", "2") for b in ("0.5", "2") for eps in ("0.3", "1.0")])
+def test_smoothed_two_point_parameter_box(tmp_path, a, b, epsilon):
+    # the corners of the two-point laws and noise scales the benchmark draws
+    argv = ["bound", "--dist", f"two-point:{a},{b}", "--g", "x", "--epsilon",
+            epsilon, "--n-mc", "10000"]
+    out = tmp_path / "b.json"
+    assert cli.main(argv + ["--method", "smoothed-i", "--out", str(out)]) == 0
+    rep = read_json(out)["results"]
+    assert rep["mc_variance"] <= rep["upper"] + 4.0 * rep["mc_se"]
+    assert cli.main(argv + ["--method", "smoothed-ii"]) == cli.EXIT_WITHHELD
+
+
 def test_bound_cacoullos_json(tmp_path):
     out = tmp_path / "b.json"
     code = cli.main(["bound", "--dist", "normal:0,1", "--g", "x",

@@ -143,13 +143,18 @@ def test_inverse_gamma_sampler_law():
 
 
 def test_import_loads_no_scipy_stats_or_optimize():
-    """The package and its CLI parser load scipy.special only."""
-    code = ("import sys, steinbounds, steinbounds.cli; "
-            "steinbounds.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+    """The package and its CLI parser load scipy.special only, and so does a
+    smoothed bound, whose law inverts its tabulated cdf."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    for run in ("steinbounds.cli.build_parser()",
+                "steinbounds.cli.main(['bound', '--dist', 'two-point:1.3,0.7', "
+                "'--g', 'x', '--method', 'smoothed-i', '--epsilon', '0.6', "
+                "'--n-mc', '1000'])"):
+        code = ("import sys, steinbounds, steinbounds.cli; "
+                f"{run}; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -88,6 +88,16 @@ def test_smoothed_moment_identity():
             k = smoothed_kernel(s)
             e_tau = s.expect(lambda x: k(x), rel_tol=1e-9)
             assert e_tau == pytest.approx(var + eps * eps, abs=1e-6)
+    # a density unbounded at a support edge, and a base with atoms only
+    for base, eps in ((Gamma(0.5, 1.0), 0.3), (two_point(1.0, 2.0), 0.5)):
+        s = smooth(base, eps)
+        k = smoothed_kernel(s)
+        e_tau = s.expect(lambda x: k(x), rel_tol=1e-9)
+        assert e_tau == pytest.approx(base.var() + eps * eps, rel=1e-9)
+    # N(0, 1) + N(0, 1) is N(0, 2), whose kernel is 2 everywhere
+    s = smooth(Gaussian(0.0, 1.0), 1.0)
+    x = np.linspace(*s.quantile([1e-9, 1.0 - 1e-9]), 101)
+    np.testing.assert_allclose(smoothed_kernel(s)(x), 2.0, rtol=1e-8)
 
 
 def test_smoothed_rademacher_origin():
