@@ -203,8 +203,7 @@ def cmd_kernel(args) -> int:
     if args.x:
         xs = np.asarray(args.x, dtype=float)
     else:
-        base = k.base  # smoothed kernels live on the convolved law
-        eff = base.effective_interval(1e-6)
+        eff = k.base.effective_interval(1e-6)  # the convolved law, when smoothed
         xs = np.linspace(eff.lo, eff.hi, args.grid)
     tau = np.asarray(k(xs), dtype=float)
     mean_tau = k.expected_value()

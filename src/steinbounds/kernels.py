@@ -167,19 +167,20 @@ class SmoothedDistribution(_TabulatedLaw):
             raise KernelError("epsilon must be > 0")
         self.base, self.epsilon, self._mu = base, epsilon, base.mean()
         self.params = tuple(base.params) + (epsilon,)
-        atoms, probs = base.atoms()
+        atoms = base.atoms()[0]
         reach = Z_PANELS[-1] * epsilon
         bumps = (atoms[:, None] + epsilon * Z_PANELS).ravel()
-        anchors = np.concatenate([bumps, base.quantile_grid(),
-                                  base.quantile(np.array([1e-13, 1.0 - 1e-13]))])
+        q = base.quantile(np.array([1e-13, 0.05, 0.5, 0.95, 1.0 - 1e-13]))
+        anchors = np.concatenate([bumps, base.quantile_grid(), q[[0, -1]]])
         lo, hi = anchors.min() - reach, anchors.max() + reach
         if not base.only_atoms:  # the table holds every read of a node
-            sup = base.support
+            sup, self._median = base.support, q[2]
             self._table = TailMoments(base, *sup.clip([lo - reach, hi + reach]),
                                       STOP_LOSS_NODES)
             self._edges = np.array([e for e in (sup.lo, sup.hi) if math.isfinite(e)])
-            self._y_cuts = (self._edges[:, None] - epsilon * np.outer(
-                np.sign(self._edges - self._mu), EDGE_GRADING)).ravel()
+            self._y_cuts = np.append((self._edges[:, None] - epsilon * np.outer(
+                np.sign(self._edges - self._mu), EDGE_GRADING)).ravel(),
+                base.quantile_grid() if q[3] - q[1] < epsilon else [])
         xs = _composite_grid(anchors, lo, hi, STOP_LOSS_NODES, self.support)
         self._tabulate(xs, self._parts(xs)[1])
         self._cuts = np.append(self.quantile_grid(), bumps)
@@ -187,7 +188,8 @@ class SmoothedDistribution(_TabulatedLaw):
     def _parts(self, x):
         """(density, cdf, E[(Y - mu) SF_eps(x - Y)]) at the 1-d array x: Y's
         atoms as Gaussian sums, plus int r(x - z) phi_eps(z) dz on the panels
-        eps * Z_PANELS of reads r(y) of the continuous part of Y's table: L0
+        eps * Z_PANELS cut at x - _y_cuts (Y's quantile grid too if its 90%
+        range is under eps), of reads r(y) of Y's table less its atoms: L0
         for the cdf, the excess on x's side of Y's median for the numerator
         (mu L0 - L1 + E[mu - Y; atoms] below, U1 - mu U0 above), and p(y) for
         the density, but within 8 eps of a finite edge of Y, where p may be
@@ -209,7 +211,7 @@ class SmoothedDistribution(_TabulatedLaw):
         w = w * normal_pdf(z / eps) / eps
         y = x[:, None] - z
         l0, l1, _, u0, u1, _ = self._table(y) - self._table.steps(y)
-        lower = (x < self.base.quantile(0.5))[:, None]
+        lower = (x < self._median)[:, None]
         num = np.where(lower, mu * l0 - l1 + probs @ (mu - atoms), u1 - mu * u0)
         by_parts = (w * z * np.where(lower, -l0, u0)).sum(1) / (eps * eps)
         den = np.where(near, by_parts, (w * _finite(self.base.density(y))).sum(1))
@@ -238,12 +240,10 @@ def smooth(base: Distribution, epsilon: float) -> SmoothedDistribution:
 def smoothed_kernel(s: SmoothedDistribution) -> SteinKernel:
     """Kernel tau_eps(x) = eps^2 + E[(Y'-mu) SF_eps(x-Y')] / E[pdf_eps(x-Y')],
     both read from one pass of the law's _parts."""
-    eps = s.epsilon
-
     def tau(x):
         den, _, num = s._parts(np.ravel(x))
         if np.any(den < DENSITY_FLOOR):
             raise DensityUnderflow("smoothed denominator underflow in the tails")
-        return _like(x, (eps * eps + num / den).reshape(np.shape(x)))
+        return _like(x, (s.epsilon ** 2 + num / den).reshape(np.shape(x)))
 
     return SteinKernel(eval=tau, provenance="smoothed", base=s)

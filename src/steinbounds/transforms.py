@@ -69,6 +69,7 @@ class ZeroBiasDistribution(_TabulatedLaw):
 
     family = "zero-bias"
     has_density = True
+    expect = _TabulatedLaw.expect  # its own attribute: the layer perfbench traces
 
     def __init__(self, base: Distribution, cdf_grid: int = 2048):
         mu = base.mean()

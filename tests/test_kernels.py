@@ -131,6 +131,17 @@ def test_smoothed_law_with_tiny_epsilon():
     assert conv.expect(lambda x: x * x) == pytest.approx(2.0 + 1e-12, rel=1e-9)
 
 
+def test_smoothed_gaussian_matches_closed_form():
+    # N(0, v) + N(0, eps^2) is N(0, v + eps^2): a base far narrower than eps
+    # (cut at its quantiles), and a wider one, whose density is read directly
+    # away from any support edge (by parts it would be off by about 1e-9)
+    for var, eps in ((1e-4, 1.0), (1.0, 0.5)):
+        conv = smooth(Gaussian(0.0, var), eps)
+        x, sd = np.array([-3.0, 0.0, 0.3, 3.0]), math.sqrt(var + eps * eps)
+        np.testing.assert_allclose(conv.density(x), norm.pdf(x, scale=sd), rtol=1e-11)
+        np.testing.assert_allclose(conv.cdf(x), norm.cdf(x, scale=sd), atol=1e-11)
+
+
 def test_smoothed_expect_takes_vector_integrands():
     conv = smooth(two_point(1.0, 2.0), 0.5)
     both = conv.expect(lambda x: np.stack([x, x * x], -1))
