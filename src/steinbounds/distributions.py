@@ -608,8 +608,10 @@ class GeometricCount(Distribution):
 # ------------------------------------------------------------ compound laws
 
 class SamplerSum(Distribution):
-    """Sum of independent parts; sampler always, exact atoms when all parts
-    are finitely discrete."""
+    """Sum of independent parts.  When all parts are finitely discrete it
+    holds the sum's atom table, and draws and answers quantiles from it by
+    the inverse cdf, one uniform per draw; otherwise it draws part by part,
+    one row of draws per part."""
 
     family = "convolution"
 
@@ -633,12 +635,13 @@ class SamplerSum(Distribution):
             pv, pp = part.atoms()
             grid = (vals[:, None] + pv[None, :]).ravel()
             w = (probs[:, None] * pp[None, :]).ravel()
-            # merge numerically equal atoms (lattice sums stay small)
-            key = np.round(grid, 10)
-            uniq, inv = np.unique(key, return_inverse=True)
-            merged = np.zeros(len(uniq))
-            np.add.at(merged, inv, w)
-            vals, probs = uniq, merged
+            # merge atoms equal to 10 decimals (lattice sums stay small) at
+            # the probability-weighted mean of the sums they merge, so the
+            # table keeps the parts' mean; an atom of mass 0 keeps its key
+            key, inv = np.unique(np.round(grid, 10), return_inverse=True)
+            probs = np.bincount(inv, w)
+            vals = np.divide(np.bincount(inv, w * grid), probs, out=key,
+                             where=probs > 0)
             if len(vals) > 200_000:
                 return None
         return vals, probs
@@ -655,6 +658,8 @@ class SamplerSum(Distribution):
         return self._var
 
     def sample(self, rng, size):
+        if self._atoms is not None:
+            return super().sample(rng, size)
         total = np.zeros(size)
         for p in self.parts:
             total = total + p.sample(rng, size)

@@ -177,58 +177,47 @@ def zero_bias(d: Distribution) -> ZeroBiasDistribution:
 
 
 class SumZeroBiasCoupling:
-    """Joint coupling (W, W*) for a sum of independent mean-zero parts.
+    """Joint coupling of X_I and its zero-bias replacement X*_I for a sum
+    W = sum_i X_i of independent mean-zero parts.
 
-    W* is obtained by replacing the part X_I, with P(I = i) proportional
-    to the part variance, by an independent draw from its zero-bias law.
+    W* = W - X_I + X*_I, with P(I = i) proportional to the variance of part
+    i, so W* - W = X*_I - X_I needs neither W nor W*.  The parts are grouped
+    by object identity (`[part] * n` is one group, with one zero-bias law);
+    a group's weight is its share of the variance.
     """
 
     def __init__(self, parts):
         if not parts:
             raise TransformError("need at least one part")
-        self.parts = list(parts)
-        self.stars = [zero_bias(p) for p in parts]
-        variances = np.array([p.var() for p in parts])
-        self.sigma2 = float(variances.sum())
-        self.weights = variances / self.sigma2
+        shares = {}
+        for p in parts:
+            shares[id(p)] = shares.get(id(p), 0.0) + p.var()
+        self.laws = list({id(p): p for p in parts}.values())
+        self.stars = [zero_bias(p) for p in self.laws]
+        self.sigma2 = float(sum(shares.values()))
+        self.weights = np.array([shares[id(p)] for p in self.laws]) / self.sigma2
 
     def joint_sample(self, rng, size):
-        """Draw (W, W_star, |W_star - W|) triples.
+        """Draw (X_I, X*_I, |X*_I - X_I|) triples.
 
-        The replaced part and its zero-biased replacement are coupled
-        comonotonically (same uniform through both inverse cdfs), which
-        minimises E|W_star - W| and matches the closed-form replacement
-        cost for standardized Bernoulli parts.
-
-        Stream layout: parts x size uniforms, drawn row by row (row i feeds
-        part i), then the index draw I = rng.choice(parts, size, p=weights);
-        the generator is left after the index draw.  The rows are streamed
-        one at a time: the bit generator (one with `advance`, such as
-        numpy's default PCG64) jumps past them to draw I first, then
-        returns to draw each row, so memory is O(size) whatever the number
-        of parts."""
-        n = len(self.parts)
-        bitgen = rng.bit_generator
-        start = bitgen.state
-        bitgen.advance(n * size)
-        idx = rng.choice(n, size=size, p=self.weights)
-        end = bitgen.state
-        bitgen.state = start
-        # W is summed row by row from zero, in the order of sum(axis=0)
-        w, x_i, x_star = np.zeros(size), np.empty(size), np.empty(size)
-        for i, (part, star) in enumerate(zip(self.parts, self.stars)):
-            u = rng.uniform(size=size)
-            x = part.quantile(u)
-            w += x
-            hit = idx == i
-            x_i[hit] = x[hit]
-            x_star[hit] = star.quantile(u[hit])
-        bitgen.state = end
-        w_star = (w - x_i) + x_star
-        return w, w_star, np.abs(w_star - w)
+        Stream layout: the group index k = rng.choice(groups, size,
+        p=weights), then one uniform u per draw, so the generator moves on
+        by 2 size draws.  The replaced part and its zero-bias replacement
+        are coupled comonotonically, both read at u through their inverse
+        cdfs, which minimises E|X*_I - X_I| and matches the closed-form
+        replacement cost for standardized Bernoulli parts.  Memory is
+        O(size) whatever the number of parts."""
+        k = rng.choice(len(self.laws), size=size, p=self.weights)
+        u = rng.uniform(size=size)
+        x, x_star = np.empty(size), np.empty(size)
+        for j, (part, star) in enumerate(zip(self.laws, self.stars)):
+            at = np.flatnonzero(k == j)
+            x[at] = part.quantile(u[at])
+            x_star[at] = star.quantile(u[at])
+        return x, x_star, np.abs(x_star - x)
 
     def mean_abs_gap(self, rng, n: int):
-        """MC estimate of E|W* - W| with its standard error."""
+        """MC estimate of E|W* - W| = E|X*_I - X_I| with its standard error."""
         _, _, gap = self.joint_sample(rng, n)
         return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(n))
 

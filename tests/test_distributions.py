@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chisquare
 
 from steinbounds.distributions import (Beta, DistributionError, Exponential,
                                        Gamma, Gaussian, GeometricCount,
@@ -65,6 +66,55 @@ def test_standardized_bernoulli_sum():
     s = sum_of_independents(parts)
     assert s.mean() == pytest.approx(0.0, abs=1e-12)
     assert s.var() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("parts", [
+    [standardized_bernoulli(0.3, 30)] * 30,
+    # the five parts of the two-point-cx scenario
+    [two_point(a, b) for a, b in
+     ((1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (1.5, 1.5), (0.8, 0.8))],
+], ids=["bernoulli-30", "two-point-5"])
+def test_sum_atoms_keep_the_parts_moments(parts):
+    # merged atoms sit at the mean of the sums they merge, not at a rounding
+    s = sum_of_independents(parts)
+    vals, probs = s.atoms()
+    m = float(np.sum(vals * probs))
+    assert abs(m - s.mean()) <= 1e-14
+    assert abs(float(np.sum((vals - m) ** 2 * probs)) - s.var()) <= 1e-13
+    assert np.all(np.diff(vals) > 0)
+
+
+def test_sum_with_atoms_draws_one_uniform_per_draw():
+    size = 1000
+    rng, ref = rng_stream(5, 10), rng_stream(5, 10)
+    sum_of_independents([standardized_bernoulli(0.3, 30)] * 30).sample(rng, size)
+    ref.bit_generator.advance(size)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sum_with_atoms_draws_the_binomial_law():
+    n, p = 30, 0.3
+    s = sum_of_independents([standardized_bernoulli(p, n)] * n)
+    x = s.sample(rng_stream(0, 10), 10**5)
+    k = np.rint(x * math.sqrt(n * p * (1 - p)) + n * p).astype(int)
+    counts = np.bincount(k, minlength=n + 1)
+    expected = 10**5 * binom.pmf(np.arange(n + 1), n, p)
+    # each tail pooled into the outermost bin of expected count >= 5
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+
+    def pool(a):
+        return np.concatenate([[a[:lo + 1].sum()], a[lo + 1:hi], [a[hi:].sum()]])
+    assert chisquare(pool(counts), pool(expected)).pvalue > 1e-3
+
+
+def test_sum_without_atoms_draws_part_by_part():
+    parts = [Gaussian(0.0, 1.0), Exponential(2.0)]
+    got = sum_of_independents(parts).sample(rng_stream(1, 10), 1000)
+    rng = rng_stream(1, 10)
+    total = np.zeros(1000)
+    for part in parts:
+        total = total + part.sample(rng, 1000)
+    assert got.tobytes() == total.tobytes()
 
 
 def test_geometric_count():

@@ -87,8 +87,8 @@ def test_zero_bias_of_a_base_with_an_atom_and_a_density():
 
 
 def test_zero_bias_of_a_sum_with_rounded_atoms():
-    # the sum's atoms are rounded to 10 decimals, so their own mean is
-    # ~6e-10 while mean() is the parts' sum: the mass guard allows for it
+    # the sum's atoms are merged where they agree to 10 decimals, at the
+    # mean of the sums they merge, so the table keeps mean() to rounding
     zb = zero_bias(sum_of_independents([standardized_bernoulli(0.3, 30)] * 30))
     assert zb.cdf(zb.support.hi) == 1.0
     assert abs(zb.expect(lambda x: np.ones_like(x)) - 1.0) <= 1e-8
@@ -243,16 +243,14 @@ def test_zero_bias_sum_variance_matches():
 
 
 def _materialised_joint_sample(coup, rng, size):
-    # the (parts x size) formula that joint_sample streams, kept as its oracle
-    n = len(coup.parts)
-    u = rng.uniform(size=(n, size))
-    draws = np.stack([p.quantile(u[i]) for i, p in enumerate(coup.parts)])
-    w = draws.sum(axis=0)
-    idx = rng.choice(n, size=size, p=coup.weights)
-    stars = np.stack([s.quantile(u[i]) for i, s in enumerate(coup.stars)])
+    # every group's quantiles at every uniform, picked by the group index k:
+    # the formula that joint_sample evaluates on each group's own draws
+    k = rng.choice(len(coup.laws), size=size, p=coup.weights)
+    u = rng.uniform(size=size)
     cols = np.arange(size)
-    w_star = w - draws[idx, cols] + stars[idx, cols]
-    return w, w_star, np.abs(w_star - w)
+    x = np.stack([p.quantile(u) for p in coup.laws])[k, cols]
+    x_star = np.stack([s.quantile(u) for s in coup.stars])[k, cols]
+    return x, x_star, np.abs(x_star - x)
 
 
 @pytest.mark.parametrize("parts,size", [
@@ -264,6 +262,10 @@ def _materialised_joint_sample(coup, rng, size):
 ], ids=["bernoulli-30", "single-part", "mixed"])
 def test_joint_sample_streams_the_materialised_draws(parts, size):
     coup = zero_bias_sum(parts)
+    # one group per distinct part object, weighted by its variance share
+    shares = [sum(p.var() for p in parts if p is law) for law in coup.laws]
+    assert coup.weights == pytest.approx(np.array(shares) / coup.sigma2, rel=1e-14)
+    assert len(coup.laws) == len({id(p) for p in parts})
     rng, ref_rng = rng_stream(7, 11), rng_stream(7, 11)
     got = coup.joint_sample(rng, size)
     ref = _materialised_joint_sample(coup, ref_rng, size)
@@ -295,4 +297,28 @@ def test_zero_bias_sum_gap_golden_value():
     # pins the draw stream: any change of layout or rounding order moves it
     coup = zero_bias_sum([standardized_bernoulli(0.3, 30)] * 30)
     assert coup.mean_abs_gap(rng_stream(42, 11), 10**5) == (
-        0.11553239479029104, 0.00024959980757046306)
+        0.11580280013362498, 0.00024983907100085555)
+
+
+@pytest.mark.parametrize("parts", [
+    [standardized_bernoulli(0.3, 30)] * 30,
+    [standardized_bernoulli(0.3, 20)] * 10 + [two_point(1.0, 2.0)] * 10,
+], ids=["one-group", "two-groups"])
+def test_joint_sample_draws_two_uniforms_per_draw(parts):
+    # the index and one uniform per draw, whatever the number of parts
+    size = 1000
+    rng, ref = rng_stream(3, 11), rng_stream(3, 11)
+    zero_bias_sum(parts).joint_sample(rng, size)
+    ref.bit_generator.advance(2 * size)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_zero_bias_sum_builds_one_law_per_distinct_part(monkeypatch):
+    calls = []
+    build = transforms.zero_bias
+    monkeypatch.setattr(transforms, "zero_bias",
+                        lambda d: calls.append(d) or build(d))
+    part = standardized_bernoulli(0.3, 30)
+    coup = zero_bias_sum([part] * 30)
+    assert calls == [part]
+    assert coup.weights.tolist() == [1.0]
