@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -426,10 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # parsing leaves the parser as it was
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass through
         return int(exc.code or 0)

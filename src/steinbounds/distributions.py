@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as _special
 from scipy.special import _ufuncs as _special_ufuncs
 
-from .numerics import Interval, REAL_LINE, TAIL_EDGES, integrate, panel_rule
+from .numerics import Interval, REAL_LINE, TAIL_EDGES, _weigh, integrate, panel_rule
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
 TAIL_CHUNK = 16  # points per vectorised density call beyond a table
@@ -38,13 +38,6 @@ PROB_LEVELS = np.concatenate([_TAIL_LEVELS, np.linspace(0.05, 0.95, 23),
 def _like(x, out):
     """out, computed at the points x, as a float when x is a scalar."""
     return float(out) if np.ndim(x) == 0 else out
-
-
-def _weigh(w, y):
-    """n weights w times the values y of f at n points (scalars, vectors or
-    one constant); a term whose weight is 0 is 0, even where f overflows."""
-    y = np.where(np.asarray(w) == 0, 0.0, np.asarray(y, dtype=float).T)
-    return (y * w).T
 
 
 class DistributionError(Exception):
@@ -169,10 +162,14 @@ class Distribution:
                 raise DistributionError(
                     f"{self.family}: expectation needs density or atoms")
             cuts = np.append(self.quantile_grid(), [] if points is None else points)
-            total = total + integrate(
-                lambda x: _weigh(_finite(self.density(x)), f(x)), self.support,
-                rel_tol=rel_tol, points=cuts).value
+            total = total + integrate(f, self.support, rel_tol=rel_tol,
+                                      points=cuts, weight=self._weight).value
         return total
+
+    def _weight(self, x):
+        """The density as expect's quadrature weight, at a (panels, k) array
+        x of points, one integration panel per row."""
+        return _finite(self.density(x.ravel()))
 
     def mc_expect(self, f, rng, n: int):
         """MC estimate of E[f(X)]: (estimate, standard error), each with one
@@ -799,9 +796,8 @@ class PermutationStatistic(Distribution):
         from itertools import permutations
         if self.n > 9:
             raise DistributionError("enumeration limited to n <= 9")
-        rows = np.arange(self.n)
-        vals = [self.a[rows, list(p)].sum() for p in permutations(range(self.n))]
-        return np.asarray(vals)
+        perms = np.array(list(permutations(range(self.n))))
+        return self.a[np.arange(self.n), perms].sum(axis=1)
 
     def standardized(self):
         """Z = (W - E[W]) / sigma as an affine image of this law."""
@@ -955,7 +951,9 @@ class TailMoments:
     Where the nodes stop short of the support, the tail beyond them comes
     from tail_panels.  Between nodes a read is the cubic Hermite
     interpolant whose slopes are the exact derivatives +-x^k p(x); beyond
-    the nodes it is tail_panels at x.
+    the nodes it is tail_panels at x.  Where the points come grouped by
+    panel, as on integration panels cut at every node, by_panel reads the
+    same values with one search per panel and only the channels asked for.
     """
 
     def __init__(self, d: Distribution, lo_t: float, hi_t: float, n: int):
@@ -993,14 +991,42 @@ class TailMoments:
         h = np.diff(xs)[:, None]
         secant = np.diff(vals, axis=0) / h
         # cubic coefficients in (x - x_i), laid out (power, channel, panel)
-        # so that scalar and array reads index them alike
-        self._coef = np.stack([vals[:-1], m0, (3 * secant - 2 * m0 - m1) / h,
-                               (m0 + m1 - 2 * secant) / h ** 2]).transpose(0, 2, 1)
+        # so that scalar and array reads index them alike; built C-ordered,
+        # since np.take copies a strided array whole
+        self._coef = np.array([c.T for c in (vals[:-1], m0, (3 * secant - 2 * m0 - m1) / h,
+                                             (m0 + m1 - 2 * secant) / h ** 2)])
 
     def steps(self, x):
         """The atoms' part of the six moments at points x."""
         i = np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right")
         return np.moveaxis(self._steps[i], -1, 0)
+
+    def _cubic(self, i, t, channels=slice(None)):
+        """The channels' cubics of panels i at offsets t from their left
+        nodes; i has the shape of t, or of t less its last axis (one panel
+        per row of t)."""
+        c = np.take(self._coef, i, axis=2)[:, channels]  # faster than fancy indexing
+        c = c.reshape(c.shape + (1,) * (np.ndim(t) - np.ndim(i)))
+        out = c[3] * t  # c0 + t (c1 + t (c2 + t c3)), in place
+        for k in (2, 1):
+            out += c[k]
+            out *= t
+        out += c[0]
+        return out
+
+    def by_panel(self, x, channels):
+        """self(x)[channels] for a (panels, k) array x of points, each row
+        strictly inside one panel between the nodes (integration panels cut
+        at every node), with one search per row instead of per point."""
+        x = np.asarray(x, dtype=float)
+        mid = 0.5 * (x[:, 0] + x[:, -1])
+        steps = self._steps[np.searchsorted(self.atoms, mid, side="right")]
+        steps = steps[:, channels].T[..., None]
+        if self._coef is None:
+            return np.broadcast_to(steps, steps.shape[:-1] + x.shape[1:])
+        i = np.searchsorted(self.xs[1:-1], mid, side="right")
+        out = self._cubic(i, x - self.xs[i][:, None], channels)
+        return out + steps if len(self.atoms) else out
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -1008,9 +1034,7 @@ class TailMoments:
             return self.steps(x)
         xs = self.xs
         i = np.searchsorted(xs[1:-1], x, side="right")  # the panel of x
-        t = x - xs[i]
-        c = np.take(self._coef, i, axis=2)  # faster than fancy indexing
-        out = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+        out = self._cubic(i, x - xs[i])
         if x.size and not (xs[0] <= x.min() and x.max() <= xs[-1]):
             out = out.reshape(6, -1)
             for side, beyond in ((-1, x.ravel() < xs[0]), (1, x.ravel() > xs[-1])):

@@ -44,9 +44,12 @@ class DerivativeMismatch(ExprError):
 
 class Expr:
     def __call__(self, x):
+        """The expression at points x, as an array of x's shape."""
+        x = np.asarray(x, dtype=float)
         # overflow and nan are left to the caller, which checks finiteness
         with np.errstate(all="ignore"):
-            return self.eval(np.asarray(x, dtype=float))
+            y = self.eval(x)
+        return y if np.shape(y) == x.shape else np.full(x.shape, y)
 
     def diff(self) -> "Expr":
         raise NotImplementedError
@@ -60,7 +63,7 @@ class Const(Expr):
     value: float
 
     def eval(self, x):
-        return np.full_like(x, self.value, dtype=float)
+        return np.float64(self.value)  # broadcast by the nodes above it
 
     def diff(self):
         return Const(0.0)

@@ -101,19 +101,35 @@ def panel_rule(a, b):
             np.abs(half)[..., None] * GL_W)
 
 
+def _weigh(w, y):
+    """n weights w times the values y of f at n points (scalars, vectors or
+    one constant); a term whose weight is 0 is 0, even where f overflows."""
+    w = np.asarray(w)
+    w = w.reshape(w.shape + (1,) * (np.ndim(y) - 1))
+    return np.where(w == 0, 0.0, np.asarray(y, dtype=float)) * w
+
+
+def _weighted(f, weight):
+    """f times the weight, as an integrand read at rows of points, one
+    panel per row: f sees the points flat, the weight sees the rows."""
+    if weight is None:
+        return lambda x: f(x.ravel())
+    return lambda x: _weigh(np.ravel(weight(x)), f(x.ravel()))
+
+
 def _panel_sums(f, a, b):
     """Per panel [a_i, b_i], the 24-point Gauss-Legendre sum of f and its
     distance to the 16-point sum, the panel's error estimate.
 
-    f is called on flat arrays of points, at most QUAD_CHUNK values per
-    call; the first call takes a single panel, to learn how many values f
-    returns per point."""
+    f is called on a (panels, 40) array of points, one panel per row, with
+    at most QUAD_CHUNK values per call; the first call takes a single
+    panel, to learn how many values f returns per point."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X
     sums, i, step = [], 0, 1
     while i < len(a):
         xi = x[i:i + step]
-        y = np.asarray(f(xi.ravel()), dtype=float)
+        y = np.asarray(f(xi), dtype=float)
         y = np.broadcast_to(y, (xi.size,) + y.shape[1:])  # a constant f
         y = y.reshape(xi.shape + y.shape[1:])
         with np.errstate(invalid="ignore"):  # integrate reports non-finite sums
@@ -126,12 +142,16 @@ def _panel_sums(f, a, b):
 
 
 def integrate_soft(f, iv: Interval, rel_tol: float = REL_TOL_BOUND,
-                   abs_tol: float = ABS_FLOOR, points=None) -> QuadResult:
-    """Best-effort panel quadrature of f over iv: the estimate and its
-    error estimate, without raising on tolerance.
+                   abs_tol: float = ABS_FLOOR, points=None,
+                   weight=None) -> QuadResult:
+    """Best-effort panel quadrature of f (times weight, if given) over iv:
+    the estimate and its error estimate, without raising on tolerance.
 
     f maps a 1-d array of points to one value per point, or to an (n, m)
-    array for a vector-valued integrand; a constant is broadcast.  iv is
+    array for a vector-valued integrand; a constant is broadcast.  weight,
+    a density, maps a (panels, k) array of points, each row inside one
+    panel of the pass, to one value per point; a term of weight 0 is 0
+    (_weigh), so a law can read its table once per panel.  iv is
     cut at the points inside it.  An infinite side gets the TAIL_EDGES
     panels, scaled by 1/64 of the span of the cuts, and past them one
     panel x = X + s (1/u^2 - 1) over u in (0, 1], on which a tail decaying
@@ -144,6 +164,7 @@ def integrate_soft(f, iv: Interval, rel_tol: float = REL_TOL_BOUND,
     that would take the evaluations past MAX_EVALS is not run, and a
     non-finite value ends the refinement.
     """
+    f = _weighted(f, weight)
     pts = np.ravel([] if points is None else points).astype(float)
     ends = [e for e in (iv.lo, iv.hi) if math.isfinite(e)]
     cuts = np.unique(np.concatenate([pts[(pts > iv.lo) & (pts < iv.hi)], ends]))
@@ -174,15 +195,16 @@ def integrate_soft(f, iv: Interval, rel_tol: float = REL_TOL_BOUND,
                                 (not iv.hi_finite, 1.0, edges[-1])):
         if infinite and evals:
             v, e = _panel_sums(lambda u: (np.asarray(
-                f(end + side * s * (u**-2 - 1.0)), dtype=float).T * (2 * s / u**3)).T,
-                np.zeros(1), np.ones(1))
+                f(end + side * s * (u**-2 - 1.0)), dtype=float).T
+                * (2 * s / u.ravel()**3)).T, np.zeros(1), np.ones(1))
             value, err, evals = value + v[0], err + e[0], evals + len(_PANEL_X)
     return QuadResult(value, err, evals)
 
 
 def integrate(f, iv: Interval, rel_tol: float = REL_TOL_BOUND,
-              abs_tol: float = ABS_FLOOR, points=None) -> QuadResult:
-    """integrate_soft, checked: the integral of f over iv, cut at points.
+              abs_tol: float = ABS_FLOOR, points=None, weight=None) -> QuadResult:
+    """integrate_soft, checked: the integral of f (times weight) over iv,
+    cut at points.
 
     Raises NonFiniteError when the integrand is non-finite somewhere on
     the panels, and IntegrationError when the error estimate does not meet
@@ -190,7 +212,7 @@ def integrate(f, iv: Interval, rel_tol: float = REL_TOL_BOUND,
     """
     if not (0.0 < rel_tol <= 1e-2):
         raise ValueError(f"rel_tol {rel_tol} outside (0, 1e-2]")
-    res = integrate_soft(f, iv, rel_tol, abs_tol, points)
+    res = integrate_soft(f, iv, rel_tol, abs_tol, points, weight)
     if res.evaluations and not np.all(np.isfinite(res.value)):
         raise NonFiniteError(f"integrand non-finite on [{iv.lo}, {iv.hi}]")
     if np.any(res.err > np.maximum(rel_tol * np.abs(res.value), abs_tol)):

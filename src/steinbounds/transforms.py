@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution, TailMoments, _like, _weigh, tail_panels
+from .distributions import Distribution, TailMoments, _like, tail_panels
 from .numerics import Interval, integrate
 
 
@@ -39,7 +39,9 @@ def stop_loss(d: Distribution, t):
 
 class _TabulatedLaw(Distribution):
     """A law whose quantile interpolates its cdf, tabulated at nodes xs, and
-    whose expect integrates over their range, cut at the law's _cuts."""
+    whose expect integrates over their range, cut at the law's _cuts and
+    weighted by _weight, the density at the points of each panel; a law
+    cut at every node of its table (the zero-bias law) reads it by panel."""
 
     def _tabulate(self, xs, cdf):
         self._range = Interval(float(xs[0]), float(xs[-1]))
@@ -52,13 +54,16 @@ class _TabulatedLaw(Distribution):
         return _like(p, np.interp(np.asarray(p, dtype=float), self._q_cdf, self._q_xs))
 
     def expect(self, f, rel_tol=1e-9, points=None):
-        """E[f(W)]: one integrate call of f times the density."""
+        """E[f(W)]: one integrate call of f, weighted by the density."""
         pts = np.append(self._cuts, [] if points is None else points)
-        return integrate(lambda x: _weigh(self.density(x), f(x)), self._range,
-                         rel_tol=rel_tol, points=pts).value
+        return integrate(f, self._range, rel_tol=rel_tol, points=pts,
+                         weight=self._weight).value
 
 
 # ----------------------------------------------------------------- zero-bias
+
+_T_CHANNELS = [0, 1, 3, 4]  # L0, L1, U0, U1: the moments that T(w) reads
+
 
 class ZeroBiasDistribution(_TabulatedLaw):
     """The W-zero-biased law of a centered W (Goldstein and Reinert, 1997):
@@ -124,18 +129,17 @@ class ZeroBiasDistribution(_TabulatedLaw):
         return ends
 
     @staticmethod
-    def _tail(m):
-        """T(w) = E[W; W > w] from the moments m at w, read from the side of
-        w that carries less mass: the base is centered, so T(w) = -L1(w),
-        and on the long side the moments nearly cancel."""
-        l0, l1, _, u0, u1, _ = m
+    def _tail(l0, l1, u0, u1):
+        """T(w) = E[W; W > w] from the moments _T_CHANNELS at w, read from
+        the side of w that carries less mass: the base is centered, so
+        T(w) = -L1(w), and on the long side the moments nearly cancel."""
         return np.maximum(np.where(l0 < u0, -l1, u1), 0.0)
 
     def _density_tail(self, w, m):
         """The density part of T(w): T less the atoms' part, read from the
         same side, so that it is exactly 0 for a base that is only atoms."""
         s = self._moments.steps(w)
-        return self._tail(m) - np.where(m[0] < m[3], -s[1], s[4])
+        return self._tail(*m[_T_CHANNELS]) - np.where(m[0] < m[3], -s[1], s[4])
 
     def _cdf(self, w, m):
         """F*(w) from the moments m at w, from the short side as in _tail."""
@@ -144,7 +148,11 @@ class ZeroBiasDistribution(_TabulatedLaw):
         return np.clip(out / self.sigma2, 0.0, 1.0)
 
     def density(self, x):
-        return _like(x, self._tail(self._moments(x)) / self.sigma2)
+        return _like(x, self._tail(*self._moments(x)[_T_CHANNELS]) / self.sigma2)
+
+    def _weight(self, x):
+        # expect's panels are cut at every node: the table is read by panel
+        return self._tail(*self._moments.by_panel(x, _T_CHANNELS)) / self.sigma2
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

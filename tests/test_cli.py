@@ -35,6 +35,36 @@ def test_kernel_command(tmp_path, capsys):
     assert "0.02083" in capsys.readouterr().out
 
 
+def test_main_calls_in_one_process_carry_no_state(tmp_path):
+    # main builds its parser once per process: each call writes what it
+    # writes on a parser of its own, whatever subcommands and flags ran before
+    runs = [
+        ["kernel", "--dist", "beta:4,8", "--route", "pearson", "--x", "0.25", "0.5"],
+        ["bound", "--dist", "normal:0,1", "--g", "sin(x)", "--method",
+         "cacoullos", "--n-mc", "1000", "--seed", "3"],
+        ["kernel", "--dist", "gamma:2,1", "--route", "integral", "--grid", "5",
+         "--grid-points", "64"],
+        ["bound", "--dist", "normal:0,1", "--g-named", "gauss", "--method",
+         "zero-bias", "--n-mc", "500", "--format", "csv"],
+        ["bound", "--dist", "normal:0,1", "--g", "x", "--method", "cacoullos",
+         "--n-mc", "500"],
+        ["kernel", "--dist", "beta:4,8", "--route", "pearson"],
+    ]
+
+    def payloads(fresh):
+        out = []
+        for k, argv in enumerate(runs):
+            if fresh:
+                cli._parser.cache_clear()
+            path = tmp_path / f"{fresh}-{k}.out"
+            out.append((cli.main([*argv, "--out", str(path)]), path.read_text()))
+        return out
+
+    shared = payloads(False)
+    assert [code for code, _ in shared] == [0] * len(runs)
+    assert shared == payloads(True)
+
+
 def test_kernel_bad_distribution():
     assert cli.main(["kernel", "--dist", "nonesuch:1", "--route",
                      "pearson", "--x", "0.5"]) == 2

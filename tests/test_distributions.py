@@ -226,6 +226,18 @@ def test_mc_expect_vector_valued():
     assert est == pytest.approx([0.5, 1.5], abs=5 * se.max())
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_permutation_enumeration_matches_the_loop(n):
+    # one fancy index over every permutation sums each in the order of the
+    # loop over permutations it replaced, so the values are the same bytes
+    from itertools import permutations
+    rng = rng_stream(n, 0)
+    a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    rows = np.arange(n)
+    loop = np.asarray([a[rows, list(p)].sum() for p in permutations(range(n))])
+    assert permutation_statistic(a).enumerate_values().tobytes() == loop.tobytes()
+
+
 def test_permutation_sample_is_uniform_over_permutations():
     a = 2.0 ** np.arange(9.0).reshape(3, 3)  # distinct sums per permutation
     stat = permutation_statistic(a)

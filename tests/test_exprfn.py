@@ -28,6 +28,20 @@ def test_parse_eval_diff(src, x, val, dval):
     assert float(differentiate(e)(x)) == pytest.approx(dval, rel=1e-12)
 
 
+@pytest.mark.parametrize("src,value", [("2", 2.0), ("pi", math.pi)])
+def test_constant_expressions_return_arrays_of_the_points_shape(src, value):
+    for x in (np.linspace(-1.0, 1.0, 5), np.zeros((3, 4))):
+        y = parse(src)(x)
+        assert isinstance(y, np.ndarray) and y.shape == x.shape
+        assert np.all(y == value)
+
+
+def test_constant_derivative_is_ones():
+    x = np.linspace(-1.0, 1.0, 7)
+    g1 = make_test_function("x", IV).g1(x)
+    assert g1.shape == x.shape and np.all(g1 == 1.0)
+
+
 def test_str_roundtrip():
     for src in ("x^2/2", "sin(x)*exp(-x)", "log(1+x^2)", "-x + 3"):
         e = parse(src)

@@ -10,7 +10,7 @@ from steinbounds.bounds import bound_equilibrium, bound_zero_bias
 from steinbounds.distributions import (Beta, DiscreteDistribution,
                                        Exponential, Gamma, Gaussian,
                                        GeometricCount, Uniform, centered,
-                                       point_mass, random_sum,
+                                       parse_dist, point_mass, random_sum,
                                        standardized_bernoulli,
                                        sum_of_independents, two_point)
 from steinbounds.exprfn import make_test_function
@@ -92,6 +92,66 @@ def test_zero_bias_of_a_sum_with_rounded_atoms():
     zb = zero_bias(sum_of_independents([standardized_bernoulli(0.3, 30)] * 30))
     assert zb.cdf(zb.support.hi) == 1.0
     assert abs(zb.expect(lambda x: np.ones_like(x)) - 1.0) <= 1e-8
+
+
+ZB_BASES = {
+    "normal": lambda: Gaussian(0.0, 1.0),
+    "gamma": lambda: centered(Gamma(2.0, 1.0)),
+    "atom-and-density": lambda: centered(random_sum(GeometricCount(0.5),
+                                                    Exponential(1.0))),
+    "only-atoms": lambda: parse_dist("standardized-bernoulli:0.3,20"),
+}
+ZB_INTEGRANDS = {
+    "one-column": np.cos,
+    "two-columns": lambda x: np.stack([np.cos(x), x * x], -1),
+    "refined": lambda x: np.sin(200.0 * x),
+}
+
+
+@pytest.mark.parametrize("f", ZB_INTEGRANDS.values(), ids=ZB_INTEGRANDS)
+@pytest.mark.parametrize("base", ZB_BASES.values(), ids=ZB_BASES)
+def test_zero_bias_expect_reads_the_table_by_panel_to_the_byte(base, f):
+    # expect reads the density once per integration panel; the same
+    # quadrature of the density read point by point gives the same bytes
+    zb = zero_bias(base())
+    by_point = numerics.integrate(
+        lambda x: numerics._weigh(zb.density(x), f(x)), zb._range,
+        rel_tol=1e-9, points=zb._cuts).value
+    assert np.asarray(zb.expect(f)).tobytes() == np.asarray(by_point).tobytes()
+
+
+@pytest.mark.parametrize("base", ZB_BASES.values(), ids=ZB_BASES)
+def test_refined_integrand_bisects_the_table_panels(base):
+    # the "refined" integrand above is read on halves of the table's panels
+    zb = zero_bias(base())
+    res = numerics.integrate(ZB_INTEGRANDS["refined"], zb._range, rel_tol=1e-9,
+                             points=zb._cuts, weight=zb._weight)
+    assert res.evaluations > 40 * (len(np.unique(zb._cuts)) - 1)
+
+
+def test_zero_bias_bound_reads_no_density_point_by_point(monkeypatch):
+    # the cost of a zero-bias bound, pinned by counts: the table is read by
+    # panel (no density call), and the quadrature's evaluation counts are
+    # those of the per-point read it replaced: the zero-bias expectation,
+    # then the Monte-Carlo oracle's moments of g(W)
+    zb = zero_bias(Gaussian(0.0, 1.0))
+    g = make_test_function("sin(x)", Gaussian(0.0, 1.0).effective_interval(1e-9))
+    evals, reads = [], []
+    integrate = numerics.integrate
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        evals.append(res.evaluations)
+        return res
+
+    for module in (distributions, transforms):
+        monkeypatch.setattr(module, "integrate", counted)
+    density = ZeroBiasDistribution.density
+    monkeypatch.setattr(ZeroBiasDistribution, "density",
+                        lambda self, x: reads.append(np.size(x)) or density(self, x))
+    bound_zero_bias(zb, g, n_mc=1000, seed=0)
+    assert reads == []
+    assert evals == [100440, 12880]
 
 
 def test_zero_bias_refuses_a_table_without_unit_mass():
