@@ -79,10 +79,6 @@ class BoundError(Exception):
     pass
 
 
-class MissingGap(BoundError):
-    """No E|W* - W| value available and no coupling to estimate it from."""
-
-
 @dataclass
 class BoundReport:
     method: str
@@ -337,33 +333,30 @@ def bound_zero_bias(zb: ZeroBiasDistribution, g: TestFunction,
 
 def bound_zero_bias_remainder(d: Distribution, g: TestFunction,
                               e_abs_gap: float | None = None,
-                              coupling=None,
                               rel_tol: float = DEFAULT_REL_TOL,
                               n_mc: int = DEFAULT_N_MC,
                               seed: int = 0) -> BoundReport:
     """Var[g(W)] <= sigma^2 E[g'(W)^2] + 2 sigma^2 ||g'g''|| E|W* - W|.
 
-    E|W* - W| is taken from e_abs_gap when supplied (finite and >= 0),
-    otherwise estimated by MC from an explicit sum coupling.  The remainder
-    field carries the full 2 sigma^2 ||g'g''|| E|W*-W| term; ||g'g''|| is
-    the grid estimate attached to g, reported as an estimate rather than a
-    proven sup.
+    It holds for every coupling, so E|W* - W| is e_abs_gap when supplied
+    (finite and >= 0), else ZeroBiasDistribution.e_abs_gap, an upper bound
+    on the least one (meta.gap_source says which).  The remainder field
+    carries the full 2 sigma^2 ||g'g''|| E|W*-W| term; ||g'g''|| is the grid
+    estimate attached to g, reported as an estimate rather than a proven sup.
     """
-    gap_se = 0.0
-    if e_abs_gap is None:
-        if coupling is None:
-            raise MissingGap("supply e_abs_gap or a SumZeroBiasCoupling")
-        e_abs_gap, gap_se = coupling.mean_abs_gap(rng_stream(seed, 4), n_mc)
-    if not 0.0 <= e_abs_gap < math.inf:
-        raise BoundError(f"E|W* - W| must be finite and >= 0, got {e_abs_gap}")
     if not math.isfinite(g.sup_g1g2):
         raise BoundError("||g'g''|| estimate is not finite for this g")
+    source = "given"
+    if e_abs_gap is None:
+        e_abs_gap, source = zero_bias(d).e_abs_gap(), "wasserstein-1"
+    if not 0.0 <= e_abs_gap < math.inf:
+        raise BoundError(f"E|W* - W| must be finite and >= 0, got {e_abs_gap}")
     s2 = d.var()
     return _bound("zero-bias-remainder", d, s2, g, None, d, rel_tol=rel_tol,
                   n_mc=n_mc, seed=seed, stream=5,
                   remainder=2.0 * s2 * g.sup_g1g2 * e_abs_gap,
-                  diagnostics={"e_abs_gap": e_abs_gap, "e_abs_gap_se": gap_se,
-                               "sup_g1g2": g.sup_g1g2})
+                  diagnostics={"e_abs_gap": e_abs_gap, "sup_g1g2": g.sup_g1g2},
+                  meta={"gap_source": source})
 
 
 # ------------------------------------------------------------- convex order

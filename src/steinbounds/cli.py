@@ -33,7 +33,7 @@ from importlib import resources
 import numpy as np
 
 from . import bayes, verify as verify_mod
-from .bounds import (METHOD_SIDES, BoundError, MissingGap, SteinCoupling,
+from .bounds import (METHOD_SIDES, BoundError, SteinCoupling,
                      bound_cacoullos, bound_convex_order, bound_equilibrium,
                      bound_generic, bound_smoothed, bound_zero_bias,
                      bound_zero_bias_remainder)
@@ -69,13 +69,15 @@ def _checked(kind, ok, what):
 
 N_MC = _checked(int, lambda n: n >= 2, "an integer >= 2")
 REL_TOL = _checked(float, lambda t: 0.0 < t <= 1e-2, "in (0, 1e-2]")
+GRID = _checked(int, lambda n: n >= 1, "an integer >= 1")
 GRID_POINTS = _checked(int, lambda n: n >= 16, "an integer >= 16")
 GAP = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 EPSILON = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
+@functools.cache
 def load_schema() -> dict:
-    """The published report schema shipped with the package."""
+    """The published report schema shipped with the package, read once."""
     text = resources.files(__package__).joinpath("report_schema.json").read_text()
     return json.loads(text)
 
@@ -85,27 +87,23 @@ def validate_report(payload: dict) -> None:
 
     A lightweight validator, so the package does not need a jsonschema
     dependency: it checks the four top-level keys, the schema version, the
-    command name, and the result keys that command requires, not the
-    values under them.  Raises CLIError on violation.
+    command name, and the result keys that command requires, all read from
+    the schema, not the values under them.  Raises CLIError on violation.
     """
-    for key in ("schema_version", "command", "seed", "results"):
+    schema = load_schema()
+    for key in schema["required"]:
         if key not in payload:
             raise CLIError(f"report missing required key {key!r}")
     if payload["schema_version"] != SCHEMA_VERSION:
         raise CLIError(f"unexpected schema_version {payload['schema_version']}")
-    if payload["command"] not in ("kernel", "bound", "posterior", "verify"):
+    commands = schema["properties"]["command"]["enum"]
+    if payload["command"] not in commands:
         raise CLIError(f"unexpected command {payload['command']!r}")
-    results = payload["results"]
-    required = {
-        "kernel": ("distribution", "route", "x", "tau", "mean_tau", "variance"),
-        "bound": ("method", "lower", "upper", "mc_variance", "mc_ci99",
-                  "mc_se", "hypothesis_checks", "remainder", "degenerate",
-                  "diagnostics", "meta"),
-        "posterior": ("model", "bounds"),
-        "verify": ("scenarios", "all_passed"),
-    }[payload["command"]]
-    for key in required:
-        if key not in results:
+    # results.oneOf lists each command's definition in the enum's order
+    ref = schema["properties"]["results"]["oneOf"][
+        commands.index(payload["command"])]["$ref"]
+    for key in schema["definitions"][ref.rsplit("/", 1)[-1]]["required"]:
+        if key not in payload["results"]:
             raise CLIError(f"{payload['command']} results missing {key!r}")
 
 
@@ -255,9 +253,6 @@ def cmd_bound(args) -> int:
     elif method == "zero-bias":
         report = bound_zero_bias(zero_bias(d), g, rel_tol=args.rel_tol, **kw)
     elif method == "zero-bias-remainder":
-        if args.gap is None:
-            raise CLIError("--method zero-bias-remainder requires --gap "
-                           "(the value of E|W* - W|)")
         report = bound_zero_bias_remainder(d, g, e_abs_gap=args.gap,
                                            rel_tol=args.rel_tol, **kw)
     elif method == "convex":
@@ -372,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="pearson")
     k.add_argument("--x", type=float, nargs="+", default=None,
                    help="evaluation points")
-    k.add_argument("--grid", type=int, default=9,
+    k.add_argument("--grid", type=GRID, default=9,
                    help="grid size when --x is absent")
     k.add_argument("--grid-points", type=GRID_POINTS, default=512,
                    help="nodes of the tail-moment table behind the integral "
@@ -390,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--epsilon", type=EPSILON, default=None,
                    help="noise scale for the smoothed methods")
     b.add_argument("--gap", type=GAP, default=None,
-                   help="E|W* - W| for zero-bias-remainder")
+                   help="E|W* - W| for zero-bias-remainder (default: the "
+                        "Wasserstein-1 distance of W and W*, bounded above)")
     b.add_argument("--n-mc", type=N_MC, default=10**6)
     b.add_argument("--rel-tol", type=REL_TOL, default=1e-6)
     common(b)
@@ -440,7 +436,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CLIError, ExprError, DistributionError, bayes.BayesError,
             verify_mod.UnknownScenario, verify_mod.VerifyError,
-            UnsupportedFamily, MissingGap) as exc:
+            UnsupportedFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotCentered as exc:

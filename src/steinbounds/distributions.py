@@ -604,6 +604,16 @@ class GeometricCount(Distribution):
 
 # ------------------------------------------------------------ compound laws
 
+def _merge_atoms(vals, probs):
+    """Atoms equal to 10 decimals (lattice sums stay small) merged at their
+    probability-weighted mean, which keeps the mean; one of mass 0 keeps
+    its key."""
+    key, inv = np.unique(np.round(vals, 10), return_inverse=True)
+    merged = np.bincount(inv, probs)
+    return np.divide(np.bincount(inv, probs * vals), merged, out=key,
+                     where=merged > 0), merged
+
+
 class SamplerSum(Distribution):
     """Sum of independent parts.  When all parts are finitely discrete it
     holds the sum's atom table, and draws and answers quantiles from it by
@@ -630,15 +640,8 @@ class SamplerSum(Distribution):
         probs = np.array([1.0])
         for part in self.parts:
             pv, pp = part.atoms()
-            grid = (vals[:, None] + pv[None, :]).ravel()
-            w = (probs[:, None] * pp[None, :]).ravel()
-            # merge atoms equal to 10 decimals (lattice sums stay small) at
-            # the probability-weighted mean of the sums they merge, so the
-            # table keeps the parts' mean; an atom of mass 0 keeps its key
-            key, inv = np.unique(np.round(grid, 10), return_inverse=True)
-            probs = np.bincount(inv, w)
-            vals = np.divide(np.bincount(inv, w * grid), probs, out=key,
-                             where=probs > 0)
+            vals, probs = _merge_atoms((vals[:, None] + pv[None, :]).ravel(),
+                                       (probs[:, None] * pp[None, :]).ravel())
             if len(vals) > 200_000:
                 return None
         return vals, probs
@@ -790,6 +793,15 @@ class PermutationStatistic(Distribution):
         """Each row of argsort(uniforms) is a uniform random permutation."""
         perms = np.argsort(rng.random((size, self.n)), axis=1)
         return self.a[np.arange(self.n), perms].sum(axis=1)
+
+    def atoms(self):
+        """The n! values of W, enumerated once, of mass 1/n! each and merged
+        as a sum's atoms are; none for n > 9, whose law takes Monte Carlo."""
+        if "_atoms" not in self.__dict__:
+            vals = self.enumerate_values() if self.n <= 9 else np.empty(0)
+            self._atoms = _merge_atoms(vals, np.full(len(vals),
+                                                     1.0 / math.factorial(self.n)))
+        return self._atoms
 
     def enumerate_values(self):
         """All n! values of W; feasible for n <= 9."""

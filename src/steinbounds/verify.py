@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bayes
 from .bounds import (SteinCoupling, bound_convex_order, bound_equilibrium,
-                     bound_smoothed, mc_variance)
+                     bound_smoothed, bound_zero_bias_remainder)
 from .distributions import (Distribution, Exponential, Gaussian,
                             GeometricCount, PermutationStatistic, random_sum,
                             standardized_bernoulli, sum_of_independents,
@@ -190,9 +190,9 @@ def _finish(result: ScenarioResult, t0: float):
 
 
 def scenario_bernoulli_sum(params, seed):
-    """Sum of n standardized Bernoulli(p): remainder upper bound vs MC, and
-    the mean coupling gap E|X - X*| against its closed form
-    (p^2 + q^2) / (2 sqrt(npq))."""
+    """Sum of n standardized Bernoulli(p): the remainder upper bound vs MC,
+    and its Wasserstein-1 gap and the MC gap E|X*_I - X_I| of the sum
+    coupling against the closed form (p^2 + q^2) / (2 sqrt(npq))."""
     t0 = time.time()
     n = int(params.get("n", 30))
     p = float(params.get("p", 0.3))
@@ -205,16 +205,17 @@ def scenario_bernoulli_sum(params, seed):
     res = ScenarioResult("bernoulli-sum",
                          {"n": n, "p": p, "g": g_src, "n_mc": n_mc})
 
-    # closed-form remainder: Var[g(W)] <= E[g'(W)^2] + ||g'g''|| (p^2+q^2)/sqrt(npq)
-    e_g1sq = w.expect(lambda x: g.g1(x) ** 2)
-    upper = e_g1sq + g.sup_g1g2 * (p * p + q * q) / math.sqrt(n * p * q)
-    var, se, ci = mc_variance(w, g, seed, n_mc, stream_id=10)
-    res.oracle = {"mc_variance": var, "mc_ci99": ci,
-                  "e_g1_sq": e_g1sq, "upper": upper}
-    res.check("upper-bound-holds-with-margin", var + MC_SIGMAS * se, upper,
+    report = bound_zero_bias_remainder(w, g, seed=seed, n_mc=n_mc)
+    res.reports.append(report.to_dict())
+    res.oracle = {"mc_variance": report.mc_variance,
+                  "mc_ci99": report.mc_ci99, "upper": report.upper}
+    res.check("upper-bound-holds-with-margin",
+              report.mc_variance + MC_SIGMAS * report.mc_se, report.upper,
               0.0, two_sided=False)
 
     gap_expected = (p * p + q * q) / (2.0 * math.sqrt(n * p * q))
+    res.check("w1-gap-matches-closed-form", report.diagnostics["e_abs_gap"],
+              gap_expected, 1e-9 * gap_expected)
     coup = zero_bias_sum([part] * n)
     gap, gap_se = coup.mean_abs_gap(rng_stream(seed, 11), n_mc)
     res.oracle["e_abs_gap"] = gap
@@ -224,40 +225,43 @@ def scenario_bernoulli_sum(params, seed):
 
 
 def scenario_permutation(params, seed):
-    """Permutation statistic W = sum_i a[i, pi(i)]: exact enumeration of the
-    variance against the closed formula, MC agreement, and the remainder
-    bound Var[g(Z)] <= E[g'(Z)^2] + (16 C / sigma) ||g'g''||."""
+    """Permutation statistic W = sum_i a[i, pi(i)]: the variance of its n!
+    values against the closed formula, and the remainder bound on Z = (W -
+    E[W]) / sigma against the exact and the MC variance, with its
+    Wasserstein-1 gap below the coupling bound E|Z* - Z| <= 8 C / sigma."""
     t0 = time.time()
     n = int(params.get("n", 8))
     n_mc = int(params.get("n_mc", 10**5))
+    if n > 9:
+        raise VerifyError("enumeration limited to n <= 9")
     rng = rng_stream(seed, 20)
     a = rng.integers(0, 10, size=(n, n)).astype(float)
     stat = PermutationStatistic(a)
     res = ScenarioResult("permutation", {"n": n, "n_mc": n_mc})
 
-    vals = stat.enumerate_values()
-    enum_var = float(np.var(vals))  # population variance over all n! outcomes
+    vals, probs = stat.atoms()
+    enum_var = float(probs @ (vals - probs @ vals) ** 2)
     res.oracle = {"sigma2_formula": stat.var(), "sigma2_enumerated": enum_var,
                   "C": stat.C}
     res.check("enumerated-variance-matches-formula", enum_var, stat.var(),
               1e-12 * max(1.0, stat.var()))
 
-    sigma = math.sqrt(stat.var())
-    z_vals = (vals - stat.mean()) / sigma
     z = stat.standardized()
-    lo, hi = float(z_vals.min()), float(z_vals.max())
+    z_vals = z.atoms()[0]
     for g_src in ("x", "sin(x)"):
-        g = make_test_function(g_src, Interval(lo - 1.0, hi + 1.0))
-        var_exact = float(np.var(g(z_vals)))
-        e_g1sq = float(np.mean(np.asarray(g.g1(z_vals)) ** 2))
-        upper = e_g1sq + 16.0 * stat.C / sigma * g.sup_g1g2
+        g = make_test_function(g_src, Interval(z_vals[0] - 1.0, z_vals[-1] + 1.0))
+        report = bound_zero_bias_remainder(z, g, seed=seed, n_mc=n_mc)
+        res.reports.append(report.to_dict())
+        y = np.asarray(g(z_vals))
+        var_exact = float(probs @ (y - probs @ y) ** 2)
         res.oracle[f"var[{g_src}]"] = var_exact
-        res.oracle[f"upper[{g_src}]"] = upper
-        res.check(f"remainder-bound-holds[{g_src}]", var_exact, upper,
+        res.oracle[f"upper[{g_src}]"] = report.upper
+        res.check(f"remainder-bound-holds[{g_src}]", var_exact, report.upper,
                   1e-12, two_sided=False)
-        mc, se, _ = mc_variance(z, g, seed, n_mc, stream_id=21)
-        res.check(f"mc-matches-enumeration[{g_src}]", mc, var_exact,
-                  MC_SIGMAS * se)
+        res.check(f"mc-matches-enumeration[{g_src}]", report.mc_variance,
+                  var_exact, MC_SIGMAS * report.mc_se)
+    res.check("w1-gap-below-coupling-bound", report.diagnostics["e_abs_gap"],
+              8.0 * stat.C / math.sqrt(stat.var()), 0.0, two_sided=False)
     return _finish(res, t0)
 
 

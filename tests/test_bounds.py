@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from steinbounds.bounds import (DEFAULT_REL_TOL, MOMENT_REL_TOL, BoundError,
-                                MissingGap, SteinCoupling,
+                                SteinCoupling,
                                 bound_cacoullos, bound_convex_order,
                                 bound_equilibrium, bound_generic,
                                 bound_smoothed, bound_zero_bias,
                                 bound_zero_bias_remainder, mc_variance)
 from steinbounds.distributions import (Beta, Exponential, Gamma, Gaussian,
                                        InverseGamma, Pareto, Uniform,
-                                       centered, standardized_bernoulli,
+                                       centered, permutation_statistic,
+                                       standardized_bernoulli,
                                        sum_of_independents, two_point)
 from steinbounds.exprfn import make_test_function
 from steinbounds.kernels import pearson_kernel, smooth
-from steinbounds.numerics import Interval
-from steinbounds.transforms import zero_bias, zero_bias_sum
+from steinbounds.numerics import Interval, rng_stream
+from steinbounds.transforms import zero_bias
 
 GAUSS = Gaussian(0.0, 1.0)
 IV8 = Interval(-8.0, 8.0)
@@ -52,10 +53,14 @@ def test_zero_bias_gaussian_sin():
     assert rep.lower == pytest.approx(e_cos ** 2, abs=1e-5)
 
 
-def test_zero_bias_remainder_needs_gap():
+def test_zero_bias_remainder_takes_the_w1_gap():
+    # without a gap the bound takes the Wasserstein-1 distance of W and W*,
+    # which is 0 for the normal law, the fixed point of the transform
     g = make_test_function("sin(x)", IV8)
-    with pytest.raises(MissingGap):
-        bound_zero_bias_remainder(GAUSS, g)
+    rep = bound_zero_bias_remainder(GAUSS, g, n_mc=1000)
+    assert rep.meta["gap_source"] == "wasserstein-1"
+    assert 0.0 <= rep.diagnostics["e_abs_gap"] <= 1e-9
+    assert set(rep.diagnostics) == {"e_abs_gap", "sup_g1g2"}
 
 
 def test_zero_bias_remainder_bernoulli_sum():
@@ -68,11 +73,22 @@ def test_zero_bias_remainder_bernoulli_sum():
     rep = bound_zero_bias_remainder(w, g, e_abs_gap=gap, n_mc=10**5, seed=3)
     assert rep.remainder == pytest.approx(2.0 * g.sup_g1g2 * gap, rel=1e-9)
     assert rep.mc_variance <= rep.upper + 4 * rep.mc_se
-    # coupling route agrees with the closed-form gap
-    coup = zero_bias_sum(parts)
-    rep2 = bound_zero_bias_remainder(w, g, coupling=coup, n_mc=10**5, seed=3)
-    se = rep2.diagnostics["e_abs_gap_se"]
-    assert rep2.diagnostics["e_abs_gap"] == pytest.approx(gap, abs=4 * se)
+    assert rep.meta["gap_source"] == "given"
+    # the Wasserstein-1 route agrees with the closed-form gap
+    rep2 = bound_zero_bias_remainder(w, g, n_mc=10**5, seed=3)
+    assert rep2.meta["gap_source"] == "wasserstein-1"
+    assert rep2.diagnostics["e_abs_gap"] == pytest.approx(gap, rel=1e-10)
+    assert rep2.upper == pytest.approx(rep.upper, rel=1e-10)
+
+
+def test_permutation_statistic_beyond_enumeration_takes_the_mc_route():
+    # n = 10 has 10! values, too many to enumerate: the law has no atoms
+    stat = permutation_statistic(rng_stream(10, 1).integers(0, 10, size=(10, 10)))
+    assert len(stat.atoms()[0]) == 0
+    g = make_test_function("sin(x)", IV8)
+    rep = bound_zero_bias_remainder(stat.standardized(), g, e_abs_gap=0.1,
+                                    n_mc=1000)
+    assert rep.meta["route"] == "mc"
 
 
 def test_convex_order_emitted():

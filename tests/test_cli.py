@@ -347,17 +347,82 @@ def test_error_bar_only_where_fourth_moment_is_finite(tmp_path, argv, finite):
      "smoothed-ii", "--epsilon", "inf"],
     ["kernel", "--dist", "two-point:1,1", "--route", "smoothed", "--x", "0",
      "--epsilon", "0"],
+    # --grid -1 once ended in a ValueError traceback, --grid 0 in empty arrays
+    ["kernel", "--dist", "normal:0,1", "--grid", "-1"],
+    ["kernel", "--dist", "normal:0,1", "--grid", "0"],
+    # beyond n = 9 the statistic has no atoms to enumerate
+    ["verify", "permutation", "--n", "10"],
     *(["bound", "--dist", dist, "--g", "x", "--method", "cacoullos"]
       for dist in ("standardized-bernoulli:0.3", "normal:a,1", "normal:nan,1",
                    "gamma:inf,1", "normal:0,inf", "uniform:0,inf")),
 ], ids=["gap-negative", "gap-nan", "epsilon-negative", "epsilon-inf",
-        "kernel-epsilon-zero", "dist-count", "dist-text", "dist-nan",
+        "kernel-epsilon-zero", "grid-negative", "grid-zero", "permutation-n",
+        "dist-count", "dist-text", "dist-nan",
         "dist-inf-shape", "dist-inf-variance", "dist-inf-end"])
 def test_invalid_gap_and_epsilon_are_usage_errors(argv, capsys):
     # a negative gap once printed upper = -9.43 with exit 0
     assert cli.main(argv + ["--n-mc", "1000"] if argv[0] == "bound"
                     else argv) == cli.EXIT_USAGE
     assert "upper" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dist", ["normal:0,1", "uniform:-1,1", "two-point:1,2",
+                                  "standardized-bernoulli:0.3,20"])
+def test_zero_bias_remainder_takes_the_w1_gap_by_default(tmp_path, dist):
+    out = tmp_path / "r.json"
+    assert cli.main(["bound", "--dist", dist, "--g", "sin(x)", "--method",
+                     "zero-bias-remainder", "--n-mc", "1000",
+                     "--out", str(out)]) == cli.EXIT_OK
+    results = read_json(out)["results"]
+    assert results["meta"]["gap_source"] == "wasserstein-1"
+    assert results["diagnostics"]["e_abs_gap"] >= 0.0
+    assert results["upper"] >= results["remainder"] >= 0.0
+
+
+def test_zero_bias_remainder_on_a_law_not_centered_is_withheld(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["bound", "--dist", "gamma:2,1", "--g", "sin(x)", "--method",
+                     "zero-bias-remainder", "--n-mc", "1000",
+                     "--out", str(out)]) == cli.EXIT_WITHHELD
+    assert capsys.readouterr().err.startswith("withheld:")
+    assert not out.exists()
+
+
+def test_zero_bias_remainder_reports_a_given_gap(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["bound", "--dist", "normal:0,1", "--g", "sin(x)", "--method",
+                     "zero-bias-remainder", "--gap", "0.25", "--n-mc", "1000",
+                     "--out", str(out)]) == cli.EXIT_OK
+    results = read_json(out)["results"]
+    assert results["diagnostics"]["e_abs_gap"] == 0.25
+    assert results["meta"]["gap_source"] == "given"
+
+
+# The report contract: the top-level keys and each command's result keys.
+REQUIRED_KEYS = {
+    "kernel": ("distribution", "route", "x", "tau", "mean_tau", "variance"),
+    "bound": ("method", "lower", "upper", "mc_variance", "mc_ci99", "mc_se",
+              "hypothesis_checks", "remainder", "degenerate", "diagnostics",
+              "meta"),
+    "posterior": ("model", "bounds"),
+    "verify": ("scenarios", "all_passed"),
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_KEYS)
+def test_validate_report_refuses_each_missing_key(command):
+    results = dict.fromkeys(REQUIRED_KEYS[command])
+    cli.validate_report(cli._payload(command, 0, {}, results))
+    for key in REQUIRED_KEYS[command]:
+        payload = cli._payload(command, 0, {}, {k: v for k, v in results.items()
+                                                if k != key})
+        with pytest.raises(cli.CLIError, match=f"{command} results missing '{key}'"):
+            cli.validate_report(payload)
+    for key in ("schema_version", "command", "seed", "results"):
+        payload = cli._payload(command, 0, {}, results)
+        del payload[key]
+        with pytest.raises(cli.CLIError, match=f"report missing required key '{key}'"):
+            cli.validate_report(payload)
 
 
 def test_discrete_law_with_repeated_atom(tmp_path):

@@ -12,6 +12,7 @@ from steinbounds.distributions import (Beta, DistributionError, Exponential,
                                        random_sum, standardized_bernoulli,
                                        sum_of_independents, two_point)
 from steinbounds.numerics import rng_stream
+from steinbounds.transforms import zero_bias
 
 
 def test_closed_form_moments():
@@ -236,6 +237,18 @@ def test_permutation_enumeration_matches_the_loop(n):
     rows = np.arange(n)
     loop = np.asarray([a[rows, list(p)].sum() for p in permutations(range(n))])
     assert permutation_statistic(a).enumerate_values().tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_permutation_atoms_match_the_formula_moments(n):
+    # the n! values, merged into atoms, carry the closed-form moments, so the
+    # standardized statistic has a zero-bias law
+    stat = permutation_statistic(rng_stream(n, 1).integers(0, 10, size=(n, n)))
+    vals, probs = stat.atoms()
+    mean = probs @ vals
+    assert mean == pytest.approx(stat.mean(), rel=1e-12)
+    assert probs @ (vals - mean) ** 2 == pytest.approx(stat.var(), rel=1e-12)
+    assert zero_bias(stat.standardized()).sigma2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_permutation_sample_is_uniform_over_permutations():

@@ -10,7 +10,8 @@ from steinbounds.distributions import Pareto, centered
 from steinbounds.exprfn import make_test_function
 from steinbounds.numerics import (MAX_EVALS, REAL_LINE, IntegrationError,
                                   Interval, NonFiniteError, integrate,
-                                  integrate_soft, inverse_cdf, rng_stream)
+                                  integrate_soft, inverse_cdf, rng_stream,
+                                  sign_changes)
 from steinbounds.transforms import zero_bias
 
 
@@ -132,3 +133,13 @@ def test_rng_stream_reproducible_and_independent():
     c = rng_stream(7, 4).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_sign_changes_bisects_each_panel():
+    # f jumps at 1, so the first panel's right end is read below it; the
+    # second panel keeps its sign
+    def f(x):
+        return np.where(x < 1.0, x - 0.3, x - 2.5)
+
+    roots = sign_changes(f, np.array([0.0, 1.0, 2.0, 3.0]))
+    assert roots == pytest.approx([0.3, 2.5], abs=2.0**-31)

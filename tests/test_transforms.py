@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,15 @@ from steinbounds import distributions, kernels, numerics, transforms
 from steinbounds.bounds import bound_equilibrium, bound_zero_bias
 from steinbounds.distributions import (Beta, DiscreteDistribution,
                                        Exponential, Gamma, Gaussian,
-                                       GeometricCount, Uniform, centered,
-                                       parse_dist, point_mass, random_sum,
+                                       GeometricCount, InverseGamma, Pareto,
+                                       Uniform, centered,
+                                       parse_dist, permutation_statistic,
+                                       point_mass, random_sum,
                                        standardized_bernoulli,
                                        sum_of_independents, two_point)
 from steinbounds.exprfn import make_test_function
 from steinbounds.kernels import integral_kernel
-from steinbounds.numerics import rng_stream
+from steinbounds.numerics import NumericsError, rng_stream
 from steinbounds.transforms import (EquilibriumDistribution, NotCentered,
                                     TransformError, ZeroBiasDistribution,
                                     equilibrium,
@@ -282,6 +285,77 @@ def test_equilibrium_uniform():
 def test_equilibrium_rejects_nonpositive_mean():
     with pytest.raises(Exception):
         equilibrium(centered(Uniform(0.0, 2.0)))
+
+
+_P, _N = 0.3, 30
+_A, _B = 3.091288902539974, 0.8653750559664671
+_BERNOULLI_GAP = (_P * _P + (1 - _P) ** 2) / (2.0 * math.sqrt(_N * _P * (1 - _P)))
+
+
+@pytest.mark.parametrize("base, gap, tol", [
+    # W* = W: the normal law is the transform's fixed point
+    (Gaussian(0.0, 1.0), 0.0, 1e-9),
+    # W* = W + (Gamma(3, 1) - Gamma(2, 1)) in law, stochastically larger
+    (centered(Gamma(2.0, 1.0)), 1.0, 1e-8),
+    # W* has density 6 (1/4 - w^2): twice int_0^1/2 (w/2 - 2 w^3) dw
+    (centered(Uniform(0.0, 1.0)), 1.0 / 16.0, 1e-12),
+    # W* is uniform on [-a, b], and F = b/(a + b) there: (a^2 + b^2)/(2(a + b))
+    (two_point(1.0, 2.0), 5.0 / 6.0, 1e-12),
+    # here the kink of |F* - F|, at b - a, fell next to the end of a bisected
+    # panel, where both Gauss-Legendre rules missed it alike: 5e-9 too low
+    (two_point(_A, _B), (_A * _A + _B * _B) / (2.0 * (_A + _B)), 1e-12),
+    (sum_of_independents([standardized_bernoulli(_P, _N)] * _N),
+     _BERNOULLI_GAP, 1e-10 * _BERNOULLI_GAP),
+], ids=["normal", "gamma", "uniform", "two-point", "two-point-kink",
+        "bernoulli-sum"])
+def test_w1_gap_matches_closed_forms(base, gap, tol):
+    assert zero_bias(base).e_abs_gap() == pytest.approx(gap, abs=tol)
+
+
+def _w1_of_atoms(vals, probs):
+    """int |F* - F| for a centered law of atoms alone, panel by panel
+    between atoms: F is constant there and F* = (L2 - w L1) / sigma^2 is
+    linear, so each panel's integral of |F* - F| is closed-form."""
+    s2 = probs @ vals**2
+    f = np.cumsum(probs)
+    d = (np.cumsum(probs * vals**2) - vals * np.cumsum(probs * vals)) / s2 - f
+    d0, d1 = d[:-1], d[1:] + probs[1:]  # F* - F at both ends of each panel
+    ends = np.abs(d0) + np.abs(d1)
+    # int |F* - F| is h ends / 2, or h (d0^2 + d1^2) / (2 ends) across a zero
+    ends = np.divide(d0**2 + d1**2, ends, out=ends, where=d0 * d1 < 0)
+    return float(np.diff(vals) @ ends / 2.0)
+
+
+_ATOMS = rng_stream(3, 0).normal(size=40)
+_PROBS = rng_stream(3, 1).uniform(size=40)
+
+
+@pytest.mark.parametrize("base", [
+    permutation_statistic(rng_stream(1, 20).integers(0, 10, size=(8, 8))).standardized(),
+    DiscreteDistribution(_ATOMS - _PROBS @ _ATOMS / _PROBS.sum(), _PROBS / _PROBS.sum())],
+    ids=["permutation", "discrete-empirical"])
+def test_w1_gap_matches_the_exact_sum_over_atoms(base):
+    # the standardized permutation statistic reads its atoms through an
+    # affine map, which rounds them to either side of the table's nodes
+    exact = _w1_of_atoms(*base.atoms())
+    assert zero_bias(base).e_abs_gap() == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("base, mean_gap", [
+    (centered(Pareto(3.5, 1.0)), 3.6), (centered(InverseGamma(5.0, 3.0)), 0.75)],
+    ids=["pareto", "inverse-gamma"])
+def test_w1_gap_is_at_least_the_gap_of_the_means(base, mean_gap):
+    # W1 >= |E[W*] - E[W]| = E[W^3] / (2 sigma^2); the table's range alone
+    # misses mass beyond it (0.7499996 on the inverse gamma)
+    assert zero_bias(base).e_abs_gap() >= mean_gap
+
+
+def test_w1_gap_refuses_an_infinite_third_moment():
+    # E|W|^3 = inf on Pareto(3): the tails beyond the table diverge
+    t0 = time.perf_counter()
+    with pytest.raises(NumericsError):
+        zero_bias(centered(Pareto(3.0, 1.0))).e_abs_gap()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_zero_bias_sum_gap_closed_form():
