@@ -149,9 +149,7 @@ def _emit(payload: dict, args, summary_lines, csv_text: str | None = None):
         raise NonFiniteError(f"report holds a non-finite number: {exc}") from None
     for line in summary_lines:
         print(line)
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_text is None:
-        raise CLIError("--format csv is only available for bound reports")
+    fmt = getattr(args, "format", "json")  # only bound has --format
     rendered = csv_text if fmt == "csv" else text + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: STEIN_BOUNDS_SEED or 0)")
         sp.add_argument("--out", default=None, help="report file path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     k = sub.add_parser("kernel", help="evaluate a Stein kernel")
     k.add_argument("--dist", required=True, help='law as "family:p1,p2,..."')
@@ -389,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "Wasserstein-1 distance of W and W*, bounded above)")
     b.add_argument("--n-mc", type=N_MC, default=10**6)
     b.add_argument("--rel-tol", type=REL_TOL, default=1e-6)
+    b.add_argument("--format", choices=("json", "csv"), default="json")
     common(b)
     b.set_defaults(fn=cmd_bound)
 

@@ -18,12 +18,14 @@ parse_dist.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 from scipy import special as _special
 from scipy.special import _ufuncs as _special_ufuncs
 
-from .numerics import Interval, REAL_LINE, TAIL_EDGES, _weigh, integrate, panel_rule
+from .numerics import (GL_X, QUAD_CHUNK, REAL_LINE, TAIL_EDGES, Interval, _weigh,
+                       integrate, panel_rule)
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
 TAIL_CHUNK = 16  # points per vectorised density call beyond a table
@@ -126,11 +128,27 @@ class Distribution:
         return self._quantile_grid
 
     def tail_moments(self) -> TailMoments:
-        """The law's TailMoments table, over its effective interval with
-        STOP_LOSS_NODES nodes, built once per law."""
+        """The law's one TailMoments table, built once and read by its
+        stop-loss, zero-bias law and equilibrium law: STOP_LOSS_NODES nodes
+        over the effective interval at 1e-9, each infinite side with a density
+        moved out by 0, 1, 2, 4, ... spans (at most 2^40) to the first w with
+        E[W (W - w); W beyond w] / Var[W] <= 1e-9, if Var[W] is finite."""
         if "_tail_moments" not in self.__dict__:
             eff = self.effective_interval(1e-9)
-            self._tail_moments = TailMoments(self, eff.lo, eff.hi, STOP_LOSS_NODES)
+            ends = [eff.lo, eff.hi]
+            try:
+                var = self.var() if self.has_density else math.inf
+            except DistributionError:
+                var = math.inf
+            reach = max(eff.hi - eff.lo, 1.0) * np.append(0.0, 2.0 ** np.arange(41))
+            for k, side in enumerate((-1, 1)):
+                if math.isfinite(var) and math.isinf((self.support.lo, self.support.hi)[k]):
+                    for w in ends[k] + side * reach:  # the first small w, or the last
+                        m = tail_panels(self, w, side, (eff.hi - eff.lo) / 64.0)[0]
+                        if (m[2] - w * m[1]) / var <= 1e-9:
+                            break
+                    ends[k] = w
+            self._tail_moments = TailMoments(self, *ends, STOP_LOSS_NODES)
         return self._tail_moments
 
     def stop_loss(self, t):
@@ -849,10 +867,11 @@ class Affine(Distribution):
         return self.base.density(self._pull(x)) / self.scale
 
     def cdf(self, x):
-        return self.base.cdf(self._pull(x))
+        # atoms alone are read from their own table: _pull rounds off an atom
+        return super().cdf(x) if self.only_atoms else self.base.cdf(self._pull(x))
 
     def survival(self, x):
-        return self.base.survival(self._pull(x))
+        return 1.0 - self.cdf(x) if self.only_atoms else self.base.survival(self._pull(x))
 
     def mean(self):
         return self.scale * (self.base.mean() + self.shift)
@@ -958,18 +977,21 @@ class TailMoments:
     The density part, skipped for a law that is only atoms, is tabulated on
     a composite grid with about n points over [lo_t, hi_t], which should
     reach each finite support edge.  Each panel between nodes is summed by
-    16-point Gauss-Legendre; L is accumulated from the bottom and U from the
-    top, so each is accurate in relative terms on its own short side.
+    16-point Gauss-Legendre, the density read QUAD_CHUNK points at a time to
+    bound peak memory; L is accumulated from the bottom and U from the top,
+    so each is accurate in relative terms on its own short side.
     Where the nodes stop short of the support, the tail beyond them comes
     from tail_panels.  Between nodes a read is the cubic Hermite
     interpolant whose slopes are the exact derivatives +-x^k p(x); beyond
     the nodes it is tail_panels at x.  Where the points come grouped by
     panel, as on integration panels cut at every node, by_panel reads the
     same values with one search per panel and only the channels asked for.
+    The table holds its law weakly, so that a law keeps its own table without
+    a reference cycle; a read beyond the nodes needs the law alive.
     """
 
     def __init__(self, d: Distribution, lo_t: float, hi_t: float, n: int):
-        self.d = d
+        self._law = weakref.ref(d)
         self.scale = (hi_t - lo_t) / 64.0
         atoms, probs = d.atoms()
         per_atom = np.stack([probs, probs * atoms, probs * atoms * atoms], -1)
@@ -984,8 +1006,9 @@ class TailMoments:
         if not d.has_density:
             raise DistributionError(f"{d.family}: tail moments need atoms or a density")
         xs = np.union1d(_composite_grid(d.quantile_grid(), lo_t, hi_t, n, d.support), atoms)
-        y, w = panel_rule(xs[:-1], xs[1:])
-        seg = _weighted_moments(y, _finite(d.density(y)) * w)
+        a, b, rows = xs[:-1], xs[1:], QUAD_CHUNK // len(GL_X)
+        seg = np.concatenate([_weighted_moments(y, _finite(d.density(y)) * w) for y, w in (
+            panel_rule(a[k:k + rows], b[k:k + rows]) for k in range(0, len(a), rows))])
         below, above = np.zeros(3), np.zeros(3)
         if xs[0] > d.support.lo:
             below = tail_panels(d, xs[0], -1, self.scale)[0]
@@ -1076,7 +1099,7 @@ class TailMoments:
 
     def _beyond(self, x, side):
         """The six moments at points x outside the nodes on one side."""
-        d, far = self.d, np.zeros((len(x), 3))
+        d, far = self._law(), np.zeros((len(x), 3))
         if self.xs[0] > d.support.lo if side < 0 else self.xs[-1] < d.support.hi:
             far = tail_panels(d, x, side, self.scale)
         near = self.total - far

@@ -124,11 +124,10 @@ def _panel_sums(f, a, b):
     f is called on a (panels, 40) array of points, one panel per row, with
     at most QUAD_CHUNK values per call; the first call takes a single
     panel, to learn how many values f returns per point."""
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     sums, i, step = [], 0, 1
     while i < len(a):
-        xi = x[i:i + step]
+        xi = mid[i:i + step, None] + half[i:i + step, None] * _PANEL_X
         y = np.asarray(f(xi), dtype=float)
         y = np.broadcast_to(y, (xi.size,) + y.shape[1:])  # a constant f
         y = y.reshape(xi.shape + y.shape[1:])

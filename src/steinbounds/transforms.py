@@ -2,13 +2,13 @@
 
 zero_bias(d) is the law W* with E[W phi(W)] = sigma^2 E[phi'(W*)], which
 exists for every centered W with finite variance, whether W has atoms, a
-density or both; its density is sigma^-2 E[W 1(W > w)], read from one
-tail-moment table of W.
+density or both; its density is sigma^-2 E[W 1(W > w)].
 equilibrium(d) is the law W^e with E[phi(W)] - phi(0) = (1/lambda)
-E[phi'(W^e)], whose survival is lambda * E[(W - x)_+].  Both tabulate
-their cdf once and answer quantile by interpolating it, so that a coupling
-can push one uniform through several inverse cdfs.  stop_loss(d, t) is
-the entry point to a law's own stop-loss transform.
+E[phi'(W^e)], whose survival is lambda * E[(W - x)_+].  Both read W's one
+tail-moment table, d.tail_moments(), which W's stop-loss reads too: they
+tabulate their cdf once at its nodes and answer quantile by interpolating
+it, so that a coupling can push one uniform through several inverse cdfs.
+stop_loss(d, t) is the entry point to a law's own stop-loss transform.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution, TailMoments, _like, tail_panels
+from .distributions import Distribution, _like
 from .numerics import Interval, integrate, sign_changes
 
 
@@ -39,9 +39,10 @@ def stop_loss(d: Distribution, t):
 
 class _TabulatedLaw(Distribution):
     """A law whose quantile interpolates its cdf, tabulated at nodes xs, and
-    whose expect integrates over their range, cut at the law's _cuts and
-    weighted by _weight, the density at the points of each panel; a law
-    cut at every node of its table (the zero-bias law) reads it by panel."""
+    whose expect integrates over _range (theirs, unless the law widens it),
+    cut at the law's _cuts and weighted by _weight, the density at the points
+    of each panel; a law cut at every node of its table (the zero-bias law)
+    reads it by panel."""
 
     def _tabulate(self, xs, cdf):
         self._range = Interval(float(xs[0]), float(xs[-1]))
@@ -68,15 +69,15 @@ _T_CHANNELS = [0, 1, 3, 4]  # L0, L1, U0, U1: the moments that T(w) reads
 class ZeroBiasDistribution(_TabulatedLaw):
     """The W-zero-biased law of a centered W (Goldstein and Reinert, 1997):
     density T(w)/sigma^2 with T(w) = E[W; W > w], a step between atoms, and
-    cdf (w T(w) + E[W^2; W <= w])/sigma^2, both read from one tail-moment
-    table of W, whose nodes (every atom among them) carry the quantile,
-    stop_loss and expect."""
+    cdf (w T(w) + E[W^2; W <= w])/sigma^2, both read from W's one
+    tail-moment table, W.tail_moments(), whose nodes (every atom among them)
+    carry the quantile, stop_loss and expect."""
 
     family = "zero-bias"
     has_density = True
     expect = _TabulatedLaw.expect  # its own attribute: the layer perfbench traces
 
-    def __init__(self, base: Distribution, cdf_grid: int = 2048):
+    def __init__(self, base: Distribution):
         mu = base.mean()
         if abs(mu) > 1e-9:
             raise NotCentered(f"zero-bias needs mean 0, got {mu:.3g}")
@@ -87,7 +88,7 @@ class ZeroBiasDistribution(_TabulatedLaw):
         self.sigma2 = var
         self.params = tuple(base.params)
         self.support = Interval(base.support.lo, base.support.hi)
-        self._moments = TailMoments(base, *self._sampler_range(), cdf_grid)
+        self._moments = base.tail_moments()
         xs = self._moments.xs
         m = self._moments(xs)
         # F*(top node) = (L2 - top L1)/sigma^2 ~ 1 - 1e-9, with -L1 = U1 (W is
@@ -106,27 +107,6 @@ class ZeroBiasDistribution(_TabulatedLaw):
         self._sl_table = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
         self._tabulate(xs, cdf)
         self._cuts = xs
-
-    def _sampler_range(self):
-        """Range covering all but ~1e-9 of the zero-bias mass.
-
-        Each infinite side of the base's effective interval where the base
-        has a density moves out by 0, 1, 2, 4, ... spans (at most 2^40)
-        until the zero-bias mass of the density beyond it,
-        E[W (W - w); W beyond w] / sigma^2, is at most 1e-9."""
-        base = self.base
-        eff = base.effective_interval(1e-9)
-        reach = max(eff.hi - eff.lo, 1.0) * np.concatenate(
-            [[0.0], 2.0 ** np.arange(41)])
-        ends = [eff.lo, eff.hi]
-        for k, side in enumerate((-1, 1)):
-            if base.has_density and math.isinf((base.support.lo, base.support.hi)[k]):
-                w = ends[k] + side * reach
-                m = tail_panels(base, w, side, (eff.hi - eff.lo) / 64.0)
-                small = (m[:, 2] - w * m[:, 1]) / self.sigma2 <= 1e-9
-                small[-1] = True
-                ends[k] = w[np.argmax(small)]
-        return ends
 
     @staticmethod
     def _tail(l0, l1, u0, u1):
@@ -260,12 +240,17 @@ def zero_bias_sum(parts) -> SumZeroBiasCoupling:
 # --------------------------------------------------------------- equilibrium
 
 class EquilibriumDistribution(_TabulatedLaw):
-    """The equilibrium law W^e of a nonnegative W with mean 1/lambda."""
+    """The equilibrium law W^e of a nonnegative W with mean 1/lambda (Pekoz
+    and Rollin, 2011): density lambda P(W > x) and survival lambda
+    E[(W - x)_+] on [0, hi], hi the top of W's support.  Its cdf is
+    tabulated at 0 and at the nodes above 0 of W's tail-moment table (W's
+    atoms among them), which carry the quantile and cut the panels of
+    expect, an integral of the density over the whole support."""
 
     family = "equilibrium"
     has_density = True
 
-    def __init__(self, base: Distribution, cdf_grid: int = 2048):
+    def __init__(self, base: Distribution):
         if base.support.lo < -1e-12:
             raise TransformError("equilibrium transform needs nonnegative support")
         mean = base.mean()
@@ -274,16 +259,10 @@ class EquilibriumDistribution(_TabulatedLaw):
         self.base = base
         self.lam = 1.0 / mean
         self.params = tuple(base.params)
-        hi = base.support.hi
-        if not base.support.hi_finite:
-            if base.only_atoms:
-                hi = float(base.atoms()[0][-1])
-            else:
-                hi = base.effective_interval(1e-12).hi
-        self.support = Interval(0.0, hi)
-        xs = np.linspace(0.0, hi, cdf_grid)
+        self.support = Interval(0.0, base.support.hi)
+        xs = np.union1d(0.0, np.maximum(base.tail_moments().xs, 0.0))
         self._tabulate(xs, self.cdf(xs))
-        self._cuts = self.quantile_grid()
+        self._range, self._cuts = self.support, xs
 
     def survival(self, x):
         # lambda * integral_x^inf P(W > y) dy = lambda * E[(W - x)_+]

@@ -181,6 +181,13 @@ def test_bound_requires_exactly_one_g():
                      "--g-named", "sin", "--method", "cacoullos"]) == 2
 
 
+def test_format_is_a_bound_option(capsys):
+    # a usage error before any work: no summary, no report
+    assert cli.main(["kernel", "--dist", "normal:0,1", "--x", "0.5",
+                     "--format", "csv"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_bound_not_centered_is_withheld_exit():
     # the zero-bias transform needs a centered law
     assert cli.main(["bound", "--dist", "exp:1", "--g", "x",

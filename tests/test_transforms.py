@@ -1,6 +1,8 @@
+import gc
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from steinbounds.distributions import (Beta, DiscreteDistribution,
 from steinbounds.exprfn import make_test_function
 from steinbounds.kernels import integral_kernel
 from steinbounds.numerics import NumericsError, rng_stream
+from steinbounds.orderings import check_nbue_nwue
 from steinbounds.transforms import (EquilibriumDistribution, NotCentered,
                                     TransformError, ZeroBiasDistribution,
                                     equilibrium,
@@ -183,6 +186,89 @@ def test_equilibrium_bound_builds_one_stop_loss_table(monkeypatch):
     assert builds == [d]
 
 
+def test_one_table_per_law(monkeypatch):
+    # a law's zero-bias law, stop-loss, equilibrium law and NBUE/NWUE check
+    # read the one tail-moment table of the law; no law is both centered
+    # (zero-bias) and of positive mean on [0, inf) (equilibrium), so a
+    # centered law and a nonnegative one are each tabulated once
+    builds = []
+    init = distributions.TailMoments.__init__
+
+    def counted(self, *args):
+        builds.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(distributions.TailMoments, "__init__", counted)
+    c, d = centered(Gamma(2.0, 1.0)), Gamma(2.0, 1.0)
+    zero_bias(c)
+    stop_loss(c, 0.5)
+    equilibrium(d)
+    stop_loss(d, 0.5)
+    check_nbue_nwue(d)
+    assert builds == [c, d]
+
+
+def test_a_law_and_its_table_form_no_reference_cycle():
+    # the table holds its law weakly: dropping the law and its zero-bias
+    # law frees both at once, without the cycle collector
+    d = centered(Gamma(2.0, 1.0))
+    alive = weakref.ref(d)
+    gc.disable()
+    try:
+        d.tail_moments()
+        zb = zero_bias(d)
+        del d, zb
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("law", [lambda: Pareto(3.0, 1.0), lambda: Gamma(2.0, 1.0)],
+                         ids=["pareto", "gamma"])
+def test_nbue_check_cost(monkeypatch, law):
+    # the check reads the base's one table: 93,472 and 50,464 density
+    # points, where a linspace table of the equilibrium cdf once took
+    # 3,821,979 and 1,014,171
+    points = []
+    for cls in (distributions._StandardLaw, EquilibriumDistribution):
+        density = cls.density
+        monkeypatch.setattr(cls, "density", lambda self, x, f=density:
+                            points.append(np.size(x)) or f(self, x))
+    check_nbue_nwue(law())
+    assert sum(points) <= 150_000
+
+
+EQ_LAWS = {"pareto-3": Pareto(3.0, 1.0), "pareto-2.5": Pareto(2.5, 1.0),
+           "inverse-gamma": InverseGamma(5.0, 3.0), "gamma-0.5": Gamma(0.5, 1.0),
+           "exp": Exponential(1.0)}
+
+
+@pytest.mark.parametrize("base", EQ_LAWS.values(), ids=EQ_LAWS)
+def test_equilibrium_quantile_inverts_its_cdf(base):
+    eq = equilibrium(base)
+    p = np.array([1e-6, 0.01, 0.1, 0.5, 0.9, 0.99])
+    assert np.max(np.abs(eq.cdf(eq.quantile(p)) - p)) <= 1e-5
+
+
+def test_equilibrium_quantile_of_pareto():
+    # F^e(x) = lambda x below the base's support [1, inf), lambda = 2/3
+    assert equilibrium(Pareto(3.0, 1.0)).quantile(0.5) == pytest.approx(0.75, abs=1e-6)
+
+
+@pytest.mark.parametrize("base", [Pareto(3.0, 1.0), Pareto(2.5, 1.0)],
+                         ids=["pareto-3", "pareto-2.5"])
+def test_equilibrium_mean_is_second_moment_over_twice_the_mean(base):
+    m2 = base.var() + base.mean() ** 2
+    assert equilibrium(base).expect(lambda x: x) == pytest.approx(
+        m2 / (2.0 * base.mean()), abs=1e-9)
+
+
+def test_equilibrium_of_a_law_of_atoms_has_unit_mass():
+    # expect is cut at the atoms, where the density lambda P(W > x) jumps
+    eq = equilibrium(GeometricCount(0.5))
+    assert eq.expect(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_zero_bias_sampling():
     spec = zero_bias(Gaussian(0.0, 1.0))
     x = spec.sample(rng_stream(3, 0), 100000)
@@ -237,10 +323,10 @@ def test_tables_make_no_quadrature_calls(monkeypatch):
         calls.clear()
         xs = np.linspace(0.0, 8.0, points)
         integral_kernel(d, grid_points=nodes)(xs)
-        star = ZeroBiasDistribution(centered(d), cdf_grid=nodes)
+        star = ZeroBiasDistribution(centered(d))
         star.density(xs - 2.0)
         star.cdf(xs - 2.0)
-        eq = EquilibriumDistribution(d, cdf_grid=nodes)
+        eq = EquilibriumDistribution(d)
         eq.survival(xs)
         eq.quantile(0.5)
         return len(calls)
