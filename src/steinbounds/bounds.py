@@ -191,11 +191,16 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
     weight is w as a function of T2, or a constant, which then multiplies
     the expectations.  They are one expectation of an (n, m) integrand, by
     quadrature, or by MC on stream `stream` for a law with neither density
-    nor atoms.  The Monte-Carlo oracle is Var[g] on mc_law, and checks are
-    the hypotheses that gate every promised side.
+    nor atoms; for a table kernel (integral, smoothed), one read of its
+    law's table, TailMoments.excess_integral.  The Monte-Carlo oracle is
+    Var[g] on mc_law, and checks are the hypotheses that gate every promised
+    side.
     """
     sides = METHOD_SIDES[method]
     scale, w = (1.0, weight) if callable(weight) else (weight, None)
+    table = getattr(w, "table", None)  # a table kernel weighs by its law's excess
+    if table is not None:
+        w = None
 
     def f(x):
         g1 = np.asarray(g.g1(x), dtype=float)
@@ -204,7 +209,11 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
             cols = [wx * g1 if side == "lower" else wx * g1**2 for side in sides]
         return cols[0] if len(cols) == 1 else np.stack(cols, axis=-1)
 
-    moments, route = _expect(law, f, rel_tol, seed, n_mc, stream)
+    if table is None:
+        moments, route = _expect(law, f, rel_tol, seed, n_mc, stream)
+    else:  # tau p is the excess: E[tau h] is the integral of h times it
+        moments = table.excess_integral(weight.base.mean(), rel_tol, f)
+        route = "quadrature"
     moments = dict(zip(sides, scale * np.atleast_1d(moments)))
     meta = {"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol, "route": route,
             **(meta or {}), "g": g.source}

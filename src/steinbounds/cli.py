@@ -441,7 +441,8 @@ def main(argv=None) -> int:
         # a gating precondition (mean zero) failed: the bound is withheld
         print(f"withheld: {exc}", file=sys.stderr)
         return EXIT_WITHHELD
-    except (NumericsError, KernelError, TransformError, BoundError) as exc:
+    except (NumericsError, KernelError, TransformError, BoundError,
+            OverflowError) as exc:  # a special function's own overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -28,7 +28,6 @@ from .numerics import (GL_X, QUAD_CHUNK, REAL_LINE, TAIL_EDGES, Interval, _weigh
                        integrate, panel_rule)
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
-TAIL_CHUNK = 16  # points per vectorised density call beyond a table
 STOP_LOSS_NODES = 2048  # nodes of the tail-moment table behind stop_loss
 # Probability levels of a law's quantile grid: half decades in each tail,
 # down to 1e-12, and steps of 0.04 in the bulk.
@@ -144,7 +143,7 @@ class Distribution:
             for k, side in enumerate((-1, 1)):
                 if math.isfinite(var) and math.isinf((self.support.lo, self.support.hi)[k]):
                     for w in ends[k] + side * reach:  # the first small w, or the last
-                        m = tail_panels(self, w, side, (eff.hi - eff.lo) / 64.0)[0]
+                        m = tail_panels(self, w, side, (eff.hi - eff.lo) / 64.0)
                         if (m[2] - w * m[1]) / var <= 1e-9:
                             break
                     ends[k] = w
@@ -916,22 +915,15 @@ def _weighted_moments(y, pw):
     return np.stack([pw.sum(-1), (pw * y).sum(-1), (pw * y * y).sum(-1)], -1)
 
 
-def tail_panels(d: Distribution, x, side: int, scale: float):
+def tail_panels(d: Distribution, x: float, side: int, scale: float):
     """int y^k p(y) dy over [x, inf) (side = +1) or (-inf, x] (side = -1),
-    k = 0, 1, 2, as an (len(x), 3) array.
-
-    Each tail is cut into the TAIL_EDGES * scale panels of numerics, summed
-    by 16-point Gauss-Legendre: narrow next to x, where a light tail
-    decays, and geometrically wider outward."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    k = 0, 1, 2: the TAIL_EDGES * scale panels of numerics, summed by
+    16-point Gauss-Legendre, narrow next to x, where a light tail decays,
+    and geometrically wider outward."""
     edges = side * scale * TAIL_EDGES
     offsets, weights = panel_rule(edges[:-1], edges[1:])
-    out = np.empty((len(x), 3))
-    for k in range(0, len(x), TAIL_CHUNK):
-        y = x[k:k + TAIL_CHUNK, None, None] + offsets
-        out[k:k + TAIL_CHUNK] = _weighted_moments(
-            y.reshape(len(y), -1), (d.density(y) * weights).reshape(len(y), -1))
-    return out
+    y = x + offsets
+    return _weighted_moments(y.ravel(), (d.density(y) * weights).ravel())
 
 
 def _composite_grid(q, lo: float, hi: float, n: int, support: Interval):
@@ -966,28 +958,24 @@ class TailMoments:
 
     Read at points x, the table returns a (6,) + x.shape array: the lower
     moments L_k(x) = E[W^k; W <= x], then the upper moments
-    U_k(x) = E[W^k; W > x], for k = 0, 1, 2.  Atoms and density alike:
-    each read is the sum of the two parts.
-
-    The atoms are summed exactly, as step functions: their moments are
-    accumulated from the bottom for L and from the top for U, and a read
-    finds its step by searchsorted (steps(x) is that part alone).  Every
-    atom is a node.
+    U_k(x) = E[W^k; W > x], for k = 0, 1, 2, each read the sum of the
+    atoms' part and the density's.  The atoms are exact step functions,
+    accumulated from the bottom for L and from the top for U (steps(x) is
+    that part alone); every atom is a node.
 
     The density part, skipped for a law that is only atoms, is tabulated on
     a composite grid with about n points over [lo_t, hi_t], which should
-    reach each finite support edge.  Each panel between nodes is summed by
-    16-point Gauss-Legendre, the density read QUAD_CHUNK points at a time to
-    bound peak memory; L is accumulated from the bottom and U from the top,
-    so each is accurate in relative terms on its own short side.
-    Where the nodes stop short of the support, the tail beyond them comes
-    from tail_panels.  Between nodes a read is the cubic Hermite
-    interpolant whose slopes are the exact derivatives +-x^k p(x); beyond
-    the nodes it is tail_panels at x.  Where the points come grouped by
-    panel, as on integration panels cut at every node, by_panel reads the
-    same values with one search per panel and only the channels asked for.
-    The table holds its law weakly, so that a law keeps its own table without
-    a reference cycle; a read beyond the nodes needs the law alive.
+    reach each finite support edge: each panel between nodes is summed by
+    16-point Gauss-Legendre, QUAD_CHUNK density points at a time, and L is
+    accumulated from the bottom and U from the top, each accurate in
+    relative terms on its own short side, with tail_panels beyond the nodes.
+    A law that knows its moments at nodes gives them instead (at_nodes).
+    Between nodes a read is the cubic Hermite interpolant whose slopes are
+    the exact derivatives +-x^k p(x); beyond them, the moments beyond x
+    (_far) and the total less them.  by_panel reads points grouped by panel
+    (integration panels cut at every node) with one search per panel.  The
+    table holds its law weakly, so that a law keeps its own table without a
+    reference cycle; a read beyond the nodes needs the law alive.
     """
 
     def __init__(self, d: Distribution, lo_t: float, hi_t: float, n: int):
@@ -1011,16 +999,29 @@ class TailMoments:
             panel_rule(a[k:k + rows], b[k:k + rows]) for k in range(0, len(a), rows))])
         below, above = np.zeros(3), np.zeros(3)
         if xs[0] > d.support.lo:
-            below = tail_panels(d, xs[0], -1, self.scale)[0]
+            below = tail_panels(d, xs[0], -1, self.scale)
         if xs[-1] < d.support.hi:
-            above = tail_panels(d, xs[-1], 1, self.scale)[0]
+            above = tail_panels(d, xs[-1], 1, self.scale)
         lower = below + np.concatenate([zero, np.cumsum(seg, axis=0)])
         upper = above + np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], zero])
-        self.total = lower[-1] + above
-        self.xs = xs
-        self.p = _finite(d.density(xs))
-        slope = self.p[:, None] * xs[:, None] ** np.arange(3)
-        vals = np.concatenate([lower, upper], axis=1)
+        self._assemble(xs, np.concatenate([lower, upper], axis=1), _finite(d.density(xs)))
+
+    @classmethod
+    def at_nodes(cls, d: Distribution, xs, moments, p, far):
+        """The table of a law without atoms from its six moments (6, len(xs))
+        and density p at the nodes xs; far(x, side) replaces _far."""
+        table = cls.__new__(cls)
+        table._law, table.scale, table._far = weakref.ref(d), (xs[-1] - xs[0]) / 64.0, far
+        table.atoms, table._steps = np.empty(0), np.zeros((1, 6))
+        table._assemble(xs, moments.T, p)
+        return table
+
+    def _assemble(self, xs, vals, p):
+        """The cubic Hermite interpolant through the six moments vals
+        (len(xs), 6) at the nodes xs, whose slopes are +-x^k p."""
+        self.xs, self.p = xs, p
+        self.total = vals[-1, :3] + vals[-1, 3:]
+        slope = p[:, None] * xs[:, None] ** np.arange(3)
         slopes = np.concatenate([slope, -slope], axis=1)
         m0, m1 = slopes[:-1], slopes[1:]
         h = np.diff(xs)[:, None]
@@ -1084,24 +1085,45 @@ class TailMoments:
         l0, l1, _, u0, u1, _ = self(x)
         return np.where(l0 < u0, mu * l0 - l1, u1 - mu * u0)
 
-    def excess_integral(self, mu, rel_tol):
-        """The integral of excess (clipped at 0) over the line, Var[W] when
-        mu is the mean: the cubic reads on the table's own panels, plus the
-        tails beyond its nodes in closed form, U2 - hi U1 - mu (U1 - hi U0)
+    def excess_integral(self, mu, rel_tol, h=None):
+        """The integral of h times the excess (clipped at 0) over the support:
+        E[tau(W) h(W)] for tau = excess / p, with mu the mean.  h maps points
+        as an integrand of expect does, and reads beyond the nodes.  For h = 1
+        (None), Var[W]: the cubic reads on the table's own panels, plus the
+        tails beyond the nodes in closed form, U2 - hi U1 - mu (U1 - hi U0)
         above hi and mu (lo L0 - L1) - (lo L1 - L2) below lo."""
+        def excess(x):
+            return np.maximum(self.excess(x, mu), 0.0)
+
+        if h is not None:
+            return integrate(h, self._law().support, rel_tol=rel_tol, points=self.xs,
+                             weight=excess).value
         lo, hi = self.xs[0], self.xs[-1]
-        inner = integrate(lambda x: np.maximum(self.excess(x, mu), 0.0),
-                          Interval(lo, hi), rel_tol=rel_tol, points=self.xs).value
+        inner = integrate(excess, Interval(lo, hi), rel_tol=rel_tol, points=self.xs).value
         l0, l1, l2, _, _, _ = self(lo)
         _, _, _, u0, u1, u2 = self(hi)
         return float(inner + (u2 - hi * u1) - mu * (u1 - hi * u0)
                      + mu * (lo * l0 - l1) - (lo * l1 - l2))
 
+    def _far(self, x, side):
+        """The (len(x), 3) moments of the law beyond the points x, all beyond
+        the nodes on one side: tail_panels beyond the outermost of x and the
+        tail panels from the outermost node, plus 16-point Gauss-Legendre on
+        each gap between them, accumulated inward."""
+        d, end = self._law(), self.xs[-1] if side > 0 else self.xs[0]
+        u, inv = np.unique(np.append(x, end + side * self.scale * TAIL_EDGES[1:]),
+                           return_inverse=True)
+        u = u[::-side]  # outermost first
+        y, w = panel_rule(u[1:], u[:-1])
+        seg = np.cumsum(_weighted_moments(y, _finite(d.density(y)) * w), axis=0)
+        out = tail_panels(d, u[0], side, self.scale) + np.concatenate([np.zeros((1, 3)), seg])
+        return out[::-side][inv[:len(x)]]
+
     def _beyond(self, x, side):
         """The six moments at points x outside the nodes on one side."""
         d, far = self._law(), np.zeros((len(x), 3))
         if self.xs[0] > d.support.lo if side < 0 else self.xs[-1] < d.support.hi:
-            far = tail_panels(d, x, side, self.scale)
+            far = self._far(x, side)
         near = self.total - far
         return np.concatenate([far, near] if side < 0 else [near, far], 1).T
 

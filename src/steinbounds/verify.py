@@ -1,14 +1,9 @@
 """Independent verification oracles and end-to-end scenario runners.
 
-Two layers:
-
-* phi_battery / coupling_residual - per-test-function residuals of the
-  defining coupling relation E[gamma(W) phi(W)] = E[T1 phi'(T2)], whose
-  sign pattern must match the coupling's declared direction;
-* run_scenario / run_all - the scenario catalog, each entry executing the
-  full pipeline (construct -> check hypotheses -> bound -> oracle ->
-  assert) and returning a ScenarioResult whose serialized payload is
-  deterministic for a fixed seed.
+run_scenario / run_all run the scenario catalog, each entry executing the
+full pipeline (construct -> check hypotheses -> bound -> oracle -> assert)
+and returning a ScenarioResult whose serialized payload is deterministic
+for a fixed seed.
 
 The Monte-Carlo oracle is bounds.mc_variance, whose 99% confidence
 halfwidth comes from the asymptotic normality of the sample variance,
@@ -26,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bayes
-from .bounds import (SteinCoupling, bound_convex_order, bound_equilibrium,
+from .bounds import (bound_convex_order, bound_equilibrium,
                      bound_smoothed, bound_zero_bias_remainder)
-from .distributions import (Distribution, Exponential, Gaussian,
+from .distributions import (Exponential, Gaussian,
                             GeometricCount, PermutationStatistic, random_sum,
                             standardized_bernoulli, sum_of_independents,
                             two_point)
@@ -48,81 +43,6 @@ class VerifyError(Exception):
 
 class UnknownScenario(VerifyError):
     pass
-
-
-# ------------------------------------------------------------ phi battery
-
-def phi_battery(d: Distribution, tail_mass: float = 1e-9):
-    """The fixed test-function battery as (name, phi, dphi) triples.
-
-    The cubic is clipped to the law's effective interval so that its
-    expectations stay finite for heavy-tailed laws; clipping keeps phi
-    absolutely continuous, so the coupling identities still hold exactly.
-    """
-    eff = d.effective_interval(tail_mass)
-    lo, hi = eff.lo, eff.hi
-
-    def clip(x):
-        return np.clip(np.asarray(x, dtype=float), lo, hi)
-
-    def cube(x):
-        return clip(x) ** 3
-
-    def dcube(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= lo) & (x <= hi), 3.0 * x * x, 0.0)
-
-    return [
-        ("x", lambda x: np.asarray(x, dtype=float),
-         lambda x: np.ones_like(np.asarray(x, dtype=float))),
-        ("x^2", lambda x: np.asarray(x, dtype=float) ** 2,
-         lambda x: 2.0 * np.asarray(x, dtype=float)),
-        ("x^3-clipped", cube, dcube),
-        ("sin", np.sin, np.cos),
-        ("exp(-x^2)", lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-         lambda x: -2.0 * np.asarray(x, dtype=float)
-         * np.exp(-np.asarray(x, dtype=float) ** 2)),
-        ("log(1+x^2)", lambda x: np.log1p(np.asarray(x, dtype=float) ** 2),
-         lambda x: 2.0 * np.asarray(x, dtype=float)
-         / (1.0 + np.asarray(x, dtype=float) ** 2)),
-    ]
-
-
-def coupling_residual(c: SteinCoupling, battery, n: int, seed: int,
-                      stream_id: int = 0):
-    """Per-phi signed residual E[gamma(W) phi(W)] - E[T1 phi'(T2)] with SE.
-
-    One shared sample of (W, T1, T2) triples is used for the whole table.
-    An 'equality' coupling should show |z| small for every phi; a one-sided
-    coupling should show the matching sign (upper-only: residual <= 0
-    within noise for the phi class it is declared for).
-    """
-    rng = rng_stream(seed, stream_id)
-    w, t1, t2 = c.joint_sampler(rng, n)
-    w = np.asarray(w, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    gamma_w = np.asarray(c.gamma(w), dtype=float)
-    table = []
-    for name, phi, dphi in battery:
-        terms = gamma_w * np.asarray(phi(w), dtype=float) \
-            - t1 * np.asarray(dphi(t2), dtype=float)
-        res = float(terms.mean())
-        se = float(terms.std(ddof=1) / math.sqrt(n))
-        table.append({"phi": name, "residual": res, "se": se,
-                      "z": res / se if se > 0 else 0.0})
-    return table
-
-
-def residual_pattern_ok(table, direction: str, sigmas: float = MC_SIGMAS):
-    """Whether a residual table matches the declared coupling direction."""
-    if direction == "equality":
-        return all(abs(row["z"]) <= sigmas for row in table)
-    if direction == "upper-only":
-        return all(row["residual"] <= sigmas * row["se"] for row in table)
-    if direction == "lower-only":
-        return all(row["residual"] >= -sigmas * row["se"] for row in table)
-    raise VerifyError(f"unknown direction {direction!r}")
 
 
 # --------------------------------------------------------------- scenarios

@@ -22,18 +22,26 @@ g = sb.make_test_function("sin(x)", d.effective_interval(1e-9))
 tracer.request_span(0, sb.bound_cacoullos, d, sb.pearson_kernel(d), g,
                     1e-6, 10**4)
 tracer.request_span(1, sb.bound_zero_bias, sb.zero_bias(d), g, 1e-6, 10**4)
+s = sb.smooth(sb.parse_dist("two-point:1,1.5"), 0.5)
+tracer.request_span(2, sb.bound_smoothed, s, sb.make_test_function(
+    "x", s.effective_interval(1e-9)), "i", 1e-6, 10**4)
 totals = tracer.totals()
-print(totals["numerics.quad"][0], totals.get("transforms.zero_bias.expect", [0])[0])
+print(*(totals.get(name, [0])[0] for name in (
+    "numerics.quad", "transforms.zero_bias.expect", "kernels.smoothed_kernel",
+    "kernels.tau")))
 """
 
 
 def test_tracer_installs_and_sees_quadrature():
     # the zero-bias law's expect is a layer of its own (a metric of every
-    # workload), though the law inherits it from _TabulatedLaw
+    # workload), though the law inherits it from _TabulatedLaw; a smoothed
+    # bound still builds its kernel through smoothed_kernel
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench" / "tracing.py")],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    quad_calls, zero_bias_expect_calls = map(int, done.stdout.split()[-2:])
-    assert quad_calls >= 1 and zero_bias_expect_calls >= 1
+    counts = list(map(int, done.stdout.split()[-4:]))
+    # quadrature, the zero-bias law's expect, the smoothed kernel and tau:
+    # mc-oracle's traced run checks each of these layers
+    assert all(count >= 1 for count in counts), counts

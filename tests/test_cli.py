@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from steinbounds import cli
+from steinbounds.kernels import SmoothedDistribution
 from steinbounds.numerics import NumericsError
 from steinbounds.verify import ScenarioResult
 
@@ -131,14 +132,43 @@ def test_bound_on_infinite_variance_is_numeric_failure(capsys):
 
 
 @pytest.mark.parametrize("epsilon", ["1e-3", "1e-6"])
-def test_smoothed_tiny_epsilon_on_atoms(epsilon, capsys):
-    # between the atoms the smoothed density underflows: refused promptly
-    for argv in (["bound", "--dist", "two-point:0.8,1.3", "--g", "x", "--method",
-                  "smoothed-i", "--n-mc", "10000"],
-                 ["kernel", "--dist", "two-point:0.8,1.3", "--route", "smoothed",
-                  "--x", "0.1"]):
-        assert cli.main(argv + ["--epsilon", epsilon]) == cli.EXIT_NUMERIC
+def test_smoothed_tiny_epsilon_on_atoms(epsilon, tmp_path, capsys):
+    # the bound reads the excess of Y + Z and divides by no density: with
+    # g = x its upper side is E[tau] = Var[Y + Z] = Var[Y] + eps^2
+    out = tmp_path / "b.json"
+    assert cli.main(["bound", "--dist", "two-point:0.8,1.3", "--g", "x", "--method",
+                     "smoothed-i", "--n-mc", "10000", "--epsilon", epsilon,
+                     "--out", str(out)]) == cli.EXIT_OK
+    var = 0.8 * 1.3 + float(epsilon) ** 2
+    assert read_json(out)["results"]["upper"] == pytest.approx(var, rel=1e-9)
+    # between the atoms the smoothed density underflows: tau is refused
+    assert cli.main(["kernel", "--dist", "two-point:0.8,1.3", "--route", "smoothed",
+                     "--x", "0.1", "--epsilon", epsilon]) == cli.EXIT_NUMERIC
     assert "underflow" in capsys.readouterr().err
+
+
+def test_special_function_overflow_is_numeric_failure(capsys):
+    # boost's ibeta_derivative overflows at a subnormal point of Beta(0.5, 0.7)
+    assert cli.main(["kernel", "--dist", "beta:0.5,0.7", "--route", "integral",
+                     "--x", "1e-310", "0.5"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Overflow" in err
+
+
+def test_smoothed_bound_convolves_only_to_build(monkeypatch):
+    # the bound reads the smoothed law's table: after smooth() returns, no
+    # quadrature point pays a convolution over Z (320,640 points once)
+    parts, smooth, built, points = SmoothedDistribution._parts, cli.smooth, [], [0]
+
+    def counted(self, x, *args, **kwargs):
+        points[0] += len(x) if built else 0
+        return parts(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(SmoothedDistribution, "_parts", counted)
+    monkeypatch.setattr(cli, "smooth", lambda *a: (smooth(*a), built.append(1))[0])
+    assert cli.main(["bound", "--dist", "normal:0,1", "--g", "x^2", "--method",
+                     "smoothed-ii", "--epsilon", "0.5", "--n-mc", "2000"]) == cli.EXIT_WITHHELD
+    assert built and points[0] <= 32_064
 
 
 def test_kernel_smoothed_on_unbounded_density(tmp_path):

@@ -9,6 +9,7 @@ from steinbounds.distributions import (Beta, Exponential, Gamma, Gaussian,
                                        random_sum, two_point)
 from steinbounds.kernels import (UnsupportedFamily, integral_kernel,
                                  pearson_kernel, smooth, smoothed_kernel)
+from steinbounds.transforms import stop_loss
 
 
 def test_pearson_closed_forms():
@@ -147,6 +148,26 @@ def test_smoothed_expect_takes_vector_integrands():
     both = conv.expect(lambda x: np.stack([x, x * x], -1))
     assert both == pytest.approx([conv.expect(lambda x: x),
                                   conv.expect(lambda x: x * x)], rel=1e-9)
+
+
+def test_smoothed_gaussian_table_is_the_sum_law():
+    # N(0, 1) + N(0, 0.25) is N(0, 1.25): the smoothed law's own table, its
+    # kernel and its stop-loss against the closed forms
+    s, var = smooth(Gaussian(0.0, 1.0), 0.5), 1.25
+    sd, x = math.sqrt(var), np.linspace(-6.0, 6.0, 1201)
+    cdf, sf, pdf = norm.cdf(x, scale=sd), norm.sf(x, scale=sd), norm.pdf(x, scale=sd)
+    exact = [cdf, -var * pdf, var * (cdf - x * pdf), sf, var * pdf, var * (sf + x * pdf)]
+    assert np.max(np.abs(s.tail_moments()(x) - exact)) <= 2e-9
+    np.testing.assert_allclose(smoothed_kernel(s)(x), var, rtol=1e-8)
+    for t in (-1.0, 0.3, 2.0):
+        closed = sd * norm.pdf(t / sd) - t * norm.sf(t / sd)
+        assert stop_loss(s, t) == pytest.approx(closed, abs=1e-9)
+
+
+def test_smoothed_heavy_tail_identity():
+    # E[tau] = Var[S] takes the excess beyond the table's last node too
+    s = smooth(Pareto(2.5, 1.0), 0.5)
+    assert smoothed_kernel(s).expected_value() == pytest.approx(s.var(), rel=1e-6)
 
 
 def test_kernel_mean_property():
