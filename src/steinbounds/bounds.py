@@ -192,9 +192,9 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
     the expectations.  They are one expectation of an (n, m) integrand, by
     quadrature, or by MC on stream `stream` for a law with neither density
     nor atoms; for a table kernel (integral, smoothed), one read of its
-    law's table, TailMoments.excess_integral.  The Monte-Carlo oracle is
-    Var[g] on mc_law, and checks are the hypotheses that gate every promised
-    side.
+    law's table, TailMoments.weighted_excess_integral.  The Monte-Carlo
+    oracle is Var[g] on mc_law, and checks are the hypotheses that gate
+    every promised side.
     """
     sides = METHOD_SIDES[method]
     scale, w = (1.0, weight) if callable(weight) else (weight, None)
@@ -212,7 +212,7 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
     if table is None:
         moments, route = _expect(law, f, rel_tol, seed, n_mc, stream)
     else:  # tau p is the excess: E[tau h] is the integral of h times it
-        moments = table.excess_integral(weight.base.mean(), rel_tol, f)
+        moments = table.weighted_excess_integral(weight.base.mean(), f, rel_tol)
         route = "quadrature"
     moments = dict(zip(sides, scale * np.atleast_1d(moments)))
     meta = {"seed": seed, "n_mc": n_mc, "rel_tol": rel_tol, "route": route,

@@ -8,10 +8,10 @@ Subcommands:
   posterior  conjugate update plus the closed-form posterior sandwich;
   verify     run the regression scenario catalog.
 
-Exit codes: 0 success, 2 invalid input (parse/usage), 3 a requested bound
-was withheld because a hypothesis failed or its lower side divides by a
-variance that is zero or undefined, 4 numerical failure, 5 a verify
-assertion failed.
+Exit codes: 0 success, 2 invalid input (parse/usage, or kernel on a law
+with infinite variance), 3 a requested bound was withheld because a
+hypothesis failed or its lower side divides by a variance that is zero or
+undefined, 4 numerical failure, 5 a verify assertion failed.
 
 The default seed is 0, overridable by the STEIN_BOUNDS_SEED environment
 variable and by --seed (highest precedence).  Identical invocations
@@ -189,6 +189,13 @@ def _mc_line(report, what):
 def cmd_kernel(args) -> int:
     seed = _resolve_seed(args)
     d = parse_dist(args.dist)
+    try:
+        finite = math.isfinite(d.var())
+    except DistributionError:  # a Pareto law's variance raises where infinite
+        finite = False
+    if not finite:  # on every route, before any table is built
+        raise CLIError(f"{args.dist} has infinite variance: the identity "
+                       "E[tau] = Var[W] has no finite value to report")
     if args.route == "pearson":
         k = pearson_kernel(d)
     elif args.route == "integral":

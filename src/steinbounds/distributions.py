@@ -926,14 +926,19 @@ def tail_panels(d: Distribution, x: float, side: int, scale: float):
     return _weighted_moments(y.ravel(), (d.density(y) * weights).ravel())
 
 
+# Offsets of the nodes that refine toward a finite support edge, in units of
+# the span of a table's anchors.
+EDGE_STEPS = np.geomspace(1e-9, 0.05, 48)
+
+
 def _composite_grid(q, lo: float, hi: float, n: int, support: Interval):
     """About n nodes over [lo, hi], graded by the anchors q (a law's quantile
     grid, say): each gap between anchors inside [lo, hi] is cut into equal
     steps, so that the spacing follows the local scale of the law in the bulk
     and in the tails alike.  From the outermost anchors the steps widen
     geometrically out to lo and hi, which may lie far beyond them; 48
-    geometric steps refine toward each finite edge of the support, where a
-    density can rise steeply from zero."""
+    geometric steps refine toward each finite edge of the support (EDGE_STEPS),
+    where a density can rise steeply from zero."""
     inner = np.unique(q[(q > lo) & (q < hi)])
     if len(inner) < 2:
         inner = np.array([lo, hi])
@@ -949,7 +954,7 @@ def _composite_grid(q, lo: float, hi: float, n: int, support: Interval):
     span = inner[-1] - inner[0]
     for edge, sgn in ((support.lo, 1.0), (support.hi, -1.0)):
         if math.isfinite(edge):
-            pieces.append(edge + sgn * span * np.geomspace(1e-9, 0.05, 48))
+            pieces.append(edge + sgn * span * EDGE_STEPS)
     return np.unique(np.clip(np.concatenate(pieces), lo, hi))
 
 
@@ -1085,25 +1090,33 @@ class TailMoments:
         l0, l1, _, u0, u1, _ = self(x)
         return np.where(l0 < u0, mu * l0 - l1, u1 - mu * u0)
 
-    def excess_integral(self, mu, rel_tol, h=None):
-        """The integral of h times the excess (clipped at 0) over the support:
-        E[tau(W) h(W)] for tau = excess / p, with mu the mean.  h maps points
-        as an integrand of expect does, and reads beyond the nodes.  For h = 1
-        (None), Var[W]: the cubic reads on the table's own panels, plus the
-        tails beyond the nodes in closed form, U2 - hi U1 - mu (U1 - hi U0)
-        above hi and mu (lo L0 - L1) - (lo L1 - L2) below lo."""
-        def excess(x):
-            return np.maximum(self.excess(x, mu), 0.0)
-
-        if h is not None:
-            return integrate(h, self._law().support, rel_tol=rel_tol, points=self.xs,
-                             weight=excess).value
+    def excess_integral(self, mu):
+        """The integral of the excess over the support, with mu the mean:
+        E[tau(W)] for tau = excess / p, which is Var[W] up to the table's
+        interpolation error.  It is exact for the interpolant that excess
+        reads, with no quadrature and no density call: on each panel between
+        nodes, sum_k c_k h^(k+1) / (k + 1) over the cubic of its shorter
+        side, mu L0 - L1 where L0 < U0 at the panel's left node and
+        U1 - mu U0 otherwise; beyond the nodes, the tails in closed form,
+        U2 - hi U1 - mu (U1 - hi U0) above hi and mu (lo L0 - L1) -
+        (lo L1 - L2) below lo.  The table must have no atoms, as a table
+        kernel's has none: their steps are not read."""
+        c, h = self._coef, np.diff(self.xs)
+        c = np.where(c[0, 0] < c[0, 3], mu * c[:, 0] - c[:, 1], c[:, 4] - mu * c[:, 3])
+        inner = (h * (c[0] + h * (c[1] / 2 + h * (c[2] / 3 + h * c[3] / 4)))).sum()
         lo, hi = self.xs[0], self.xs[-1]
-        inner = integrate(excess, Interval(lo, hi), rel_tol=rel_tol, points=self.xs).value
         l0, l1, l2, _, _, _ = self(lo)
         _, _, _, u0, u1, u2 = self(hi)
         return float(inner + (u2 - hi * u1) - mu * (u1 - hi * u0)
                      + mu * (lo * l0 - l1) - (lo * l1 - l2))
+
+    def weighted_excess_integral(self, mu, h, rel_tol):
+        """The integral of h times the excess (clipped at 0) over the support:
+        E[tau(W) h(W)] for tau = excess / p, with mu the mean, by quadrature
+        cut at the nodes.  h maps points as an integrand of expect does, and
+        reads beyond the nodes."""
+        return integrate(h, self._law().support, rel_tol=rel_tol, points=self.xs,
+                         weight=lambda x: np.maximum(self.excess(x, mu), 0.0)).value
 
     def _far(self, x, side):
         """The (len(x), 3) moments of the law beyond the points x, all beyond

@@ -10,7 +10,10 @@ Three construction routes:
                     table, built by one convolution over Z of Y's.
 
 The two table routes share one formula, tau = excess / p, and one rule
-where the density underflows (_table_kernel).
+where the density underflows (_table_kernel).  Their E[tau] is the exact
+integral of the table's cubics (TailMoments.excess_integral): it reads no
+density and integrates nothing, so its distance to Var[W] is the table's
+interpolation error.
 
 The Pareto kernel is implemented in its nonnegative form
 theta*(theta - m)/(a - 1); see the README note on the sign convention.
@@ -73,9 +76,13 @@ class SteinKernel:
         return self.eval(x)
 
     def expected_value(self, rel_tol: float = 1e-9) -> float:
-        """E[tau(W)]; equals Var[W] when the kernel is exact."""
+        """E[tau(W)]; equals Var[W] when the kernel is exact.  A Pearson
+        kernel takes quadrature at rel_tol; a table kernel's is the exact
+        integral of its table's cubics (TailMoments.excess_integral), so
+        that its distance to Var[W] is the table's interpolation error, and
+        it reads no density and integrates nothing."""
         if self.table is not None:
-            return self.table.excess_integral(self.base.mean(), rel_tol)
+            return self.table.excess_integral(self.base.mean())
         return self.base.expect(self.eval, rel_tol=rel_tol)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from steinbounds import cli
+from steinbounds import cli, numerics
 from steinbounds.kernels import SmoothedDistribution
 from steinbounds.numerics import NumericsError
 from steinbounds.verify import ScenarioResult
@@ -356,6 +356,33 @@ def test_payload_matches_schema(tmp_path, argv):
         assert payload["results"]["mc_ci99"] is None
 
 
+# Quadrature evaluations, summed over the integrate_soft calls, of each of
+# PAYLOAD_COMMANDS in list order, as counted when these ceilings were set.
+# The integral-kernel commands read E[tau] from their table's cubics and
+# integrate nothing.
+PAYLOAD_EVALUATIONS = [2640, 0, 0, 25760, 0, 5280, 15520, 5280, 15520, 0,
+                       15520, 0]
+
+
+@pytest.mark.parametrize("argv, count", [
+    pytest.param(argv, count, id=" ".join(argv[:4]))
+    for argv, count in zip(PAYLOAD_COMMANDS, PAYLOAD_EVALUATIONS, strict=True)])
+def test_payload_evaluation_ceilings(tmp_path, monkeypatch, argv, count):
+    # evaluation counts are deterministic: each command may spend at most
+    # 10% more than its count, and a command at 0 must stay there
+    evaluations = []
+    soft = numerics.integrate_soft
+
+    def counted(*args, **kwargs):
+        res = soft(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(numerics, "integrate_soft", counted)
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) in (0, 3)
+    assert sum(evaluations) <= 1.1 * count
+
+
 @pytest.mark.parametrize("argv, finite", [
     # E[g(W)^4] is infinite on a light tail under a fast g
     (["--dist", "exp:1", "--g", "2*exp(x/2)", "--method", "equilibrium-b"],
@@ -470,6 +497,20 @@ def test_discrete_law_with_repeated_atom(tmp_path):
                      "--out", str(out)])
     assert code == cli.EXIT_WITHHELD
     assert read_json(out)["results"]["lower"] is None
+
+
+@pytest.mark.parametrize("route", [["--route", "integral"], ["--route", "pearson"],
+                                   ["--route", "smoothed", "--epsilon", "0.5"]],
+                         ids=lambda r: r[1])
+@pytest.mark.parametrize("dist", ["invgamma:1.5,1", "invgamma:2,1", "pareto:2,1"])
+def test_kernel_on_infinite_variance_is_a_usage_error(tmp_path, capsys, dist, route):
+    # E[tau] = Var[W] = inf has no finite value to report: one exit code
+    # and one message, whatever the family and the route
+    out = tmp_path / "k.json"
+    code = cli.main(["kernel", "--dist", dist, *route, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "infinite variance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dist", ["invgamma:1.5,1", "pareto:2,1"])

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from steinbounds import distributions, numerics
 from steinbounds.distributions import (Beta, Exponential, Gamma, Gaussian,
-                                       GeometricCount, Pareto, Uniform,
-                                       random_sum, two_point)
+                                       GeometricCount, InverseGamma, Pareto,
+                                       Uniform, random_sum, two_point)
 from steinbounds.kernels import (UnsupportedFamily, integral_kernel,
                                  pearson_kernel, smooth, smoothed_kernel)
+from steinbounds.numerics import Interval, integrate
 from steinbounds.transforms import stop_loss
 
 
@@ -173,3 +175,54 @@ def test_smoothed_heavy_tail_identity():
 def test_kernel_mean_property():
     d = Gamma(2.0, 1.0)
     assert pearson_kernel(d).expected_value() == pytest.approx(2.0, rel=1e-9)
+
+
+# the six kernel laws of the transform-tables benchmark workload, at its 128
+# nodes, two laws with steep or heavy edges, and three smoothed laws
+CLOSED_FORM_KERNELS = {
+    **{f"integral-{name}": (lambda d=d: integral_kernel(d, 128)) for name, d in (
+        ("pareto:3,1", Pareto(3.0, 1.0)), ("invgamma:5,3", InverseGamma(5.0, 3.0)),
+        ("gamma:2,1", Gamma(2.0, 1.0)), ("gamma:3,1", Gamma(3.0, 1.0)),
+        ("beta:3,5", Beta(3.0, 5.0)), ("gamma:4,1", Gamma(4.0, 1.0)))},
+    "integral-beta:0.5,0.7": lambda: integral_kernel(Beta(0.5, 0.7)),
+    "integral-pareto:2.5,1": lambda: integral_kernel(Pareto(2.5, 1.0)),
+    **{f"smoothed-{name}": (lambda d=d: smoothed_kernel(smooth(d, 0.5))) for name, d in (
+        ("normal:0,1", Gaussian(0.0, 1.0)), ("two-point:1,1.5", two_point(1.0, 1.5)),
+        ("pareto:2.5,1", Pareto(2.5, 1.0)))},
+}
+
+
+@pytest.mark.parametrize("make", CLOSED_FORM_KERNELS.values(), ids=CLOSED_FORM_KERNELS)
+def test_table_kernel_mean_is_the_exact_integral_of_its_cubics(make):
+    # the reference integrates the excess that tau reads between the nodes
+    # by quadrature, and adds the same closed-form tails beyond them
+    k = make()
+    table, mu = k.table, k.base.mean()
+    lo, hi = table.xs[0], table.xs[-1]
+    inner = integrate(lambda x: table.excess(x, mu), Interval(lo, hi),
+                      rel_tol=1e-13, points=table.xs).value
+    l0, l1, l2, _, _, _ = table(lo)
+    _, _, _, u0, u1, u2 = table(hi)
+    tails = (u2 - hi * u1) - mu * (u1 - hi * u0) + mu * (lo * l0 - l1) - (lo * l1 - l2)
+    var = k.base.var()
+    assert abs(k.expected_value() - (inner + tails)) <= 1e-14 * var
+
+
+def test_table_kernel_mean_calls_no_quadrature_and_no_density(monkeypatch):
+    d = Gamma(2.0, 1.0)
+    k = integral_kernel(d, 128)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (numerics, distributions):
+        monkeypatch.setattr(module, "integrate", counted("integrate", module.integrate))
+    monkeypatch.setattr(numerics, "integrate_soft",
+                        counted("integrate_soft", numerics.integrate_soft))
+    monkeypatch.setattr(d, "density", counted("density", d.density))
+    assert k.expected_value() == pytest.approx(2.0, rel=1e-4)
+    assert calls == []
