@@ -27,6 +27,10 @@ Pairs and updates (prior parameters alpha, beta unless noted):
 The uniform-pareto kernel is the nonnegative form t (t - M) / (n + a - 1);
 reports for that pair carry a sign-convention note (see the kernels module
 docstring).
+
+PAIR_TABLE is the one list of the pairs and of the fields each reads: one
+row per pair, which update() and summarize() read, and from which the CLI
+builds its posterior flags.
 """
 
 from __future__ import annotations
@@ -40,18 +44,6 @@ from .distributions import (Beta, Distribution, Gamma, Gaussian,
                             InverseGamma, Pareto)
 from .exprfn import TestFunction
 from .kernels import SteinKernel, pearson_kernel
-
-PAIRS = (
-    "gaussian-mean",
-    "gaussian-var",
-    "binomial-beta",
-    "negbinomial-beta",
-    "weibull-inverse-gamma",
-    "gamma-gamma",
-    "laplace-inverse-gamma",
-    "poisson-gamma",
-    "uniform-pareto",
-)
 
 PARETO_SIGN_NOTE = ("pareto kernel in nonnegative form t(t - M)/(n + alpha - 1); "
                     "bounds agree with the displayed sandwich up to that sign "
@@ -93,94 +85,97 @@ class PosteriorModel:
 
 # ------------------------------------------------------------------ updates
 
-def _pos(params, key):
-    v = float(params[key])
-    if v <= 0:
-        raise InvalidSummary(f"{key} must be > 0, got {v}")
-    return v
+def _reader(bad, what):
+    """The reader float(fields[key]), rejected where bad(value)."""
+    def read(fields, key):
+        v = float(fields[key])
+        if bad(v):
+            raise InvalidSummary(f"{key} must be {what}, got {v}")
+        return v
+    return read
 
 
-def _count(summary, key="n"):
-    v = float(summary[key])
-    if v < 0 or v != int(v):
-        raise InvalidSummary(f"{key} must be a nonnegative integer, got {v}")
-    return v
+_real = _reader(lambda v: False, "a number")
+_pos = _reader(lambda v: v <= 0, "> 0")
+_count = _reader(lambda v: v < 0 or v != int(v), "a nonnegative integer")
+_nonneg = _reader(lambda v: v < 0, ">= 0")
 
 
-def _nonneg(summary, key):
-    v = float(summary[key])
-    if v < 0:
-        raise InvalidSummary(f"{key} must be >= 0, got {v}")
-    return v
+def _gaussian_mean(mu, delta, sigma, n, xbar):
+    s2, d2 = sigma * sigma, delta * delta
+    return Gaussian((s2 * mu + n * d2 * xbar) / (n * d2 + s2),
+                    s2 * d2 / (n * d2 + s2))
+
+
+def _binomial_beta(a, b, n, x):
+    if x > n:
+        raise InvalidSummary(f"successes x={x:g} exceed trials n={n:g}")
+    return Beta(x + a, n - x + b)
+
+
+def _sum(x, p):
+    return float(x.sum())
+
+
+_AB = (("alpha", _pos), ("beta", _pos))
+
+# One row per pair: the prior fields with their readers, in reading order;
+# the summary statistic beside n, with its reader; the posterior from the
+# prior values, n and the statistic; the statistic of raw data x given the
+# prior fields p, or None where the summary is counts; and the note its
+# reports carry.  gaussian-var's mu is read by summarize alone.
+PAIR_TABLE = {
+    "gaussian-mean": (
+        (("mu", _real), ("delta", _pos), ("sigma", _pos)), ("mean", _real),
+        _gaussian_mean, lambda x, p: float(x.mean()) if len(x) else 0.0, ""),
+    "gaussian-var": (
+        _AB, ("sum_sq", _nonneg),
+        lambda a, b, n, ss: InverseGamma(n / 2.0 + a, ss / 2.0 + b),
+        lambda x, p: float(np.sum((x - float(p.get("mu", 0.0))) ** 2)), ""),
+    "binomial-beta": (_AB, ("x", _count), _binomial_beta, None, ""),
+    "negbinomial-beta": (
+        _AB + (("r", _pos),), ("sum", _nonneg),
+        lambda a, b, r, n, s: Beta(s + a, n * r + b), _sum, ""),
+    "weibull-inverse-gamma": (
+        _AB + (("k", _pos),), ("sum_pow", _nonneg),
+        lambda a, b, k, n, sk: InverseGamma(n + a, sk + b),
+        lambda x, p: float(np.sum(x ** float(p.get("k", 1.0)))), ""),
+    "gamma-gamma": (
+        _AB + (("k", _pos),), ("sum", _nonneg),
+        lambda a, b, k, n, s: Gamma(n * k + a, s + b), _sum, ""),
+    "laplace-inverse-gamma": (
+        _AB + (("mu", _real),), ("sum_abs", _nonneg),
+        lambda a, b, mu, n, sa: InverseGamma(n + a, sa + b),
+        lambda x, p: float(np.sum(np.abs(x - float(p.get("mu", 0.0))))), ""),
+    "poisson-gamma": (
+        _AB, ("sum", _nonneg), lambda a, b, n, s: Gamma(s + a, n + b), _sum,
+        ""),
+    "uniform-pareto": (
+        _AB, ("max", _nonneg), lambda a, b, n, m: Pareto(n + a, max(m, b)),
+        lambda x, p: float(x.max()) if len(x) else 0.0, PARETO_SIGN_NOTE),
+}
+
+PAIRS = tuple(PAIR_TABLE)
+
+
+def _row(pair):
+    if pair not in PAIRS:
+        raise UnknownPair(f"unknown pair {pair!r}; expected one of {PAIRS}")
+    return PAIR_TABLE[pair]
 
 
 def update(pair: str, prior_params: dict, data_summary: dict) -> PosteriorModel:
-    """Conjugate update from a sufficient data summary.
-
-    prior_params and data_summary use the pair-specific field names from
-    the module docstring (alpha/beta, plus fixed quantities like sigma,
-    r, k, mu, which travel with the prior parameters).
+    """Conjugate update from a sufficient data summary, in the field names
+    of the pair's PAIR_TABLE row (fixed quantities such as sigma, r, k, mu
+    travel with the prior parameters).  The statistic is read only when
+    n > 0, except binomial-beta's success count x, read and checked at any n.
     """
-    if pair not in PAIRS:
-        raise UnknownPair(f"unknown pair {pair!r}; expected one of {PAIRS}")
-    note = ""
+    prior, (stat, read), posterior, _, note = _row(pair)
     try:
-        if pair == "gaussian-mean":
-            mu = float(prior_params["mu"])
-            delta = _pos(prior_params, "delta")
-            sigma = _pos(prior_params, "sigma")
-            n = _count(data_summary)
-            xbar = float(data_summary["mean"]) if n else 0.0
-            s2, d2 = sigma * sigma, delta * delta
-            post = Gaussian((s2 * mu + n * d2 * xbar) / (n * d2 + s2),
-                            s2 * d2 / (n * d2 + s2))
-        elif pair == "gaussian-var":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            n = _count(data_summary)
-            ss = _nonneg(data_summary, "sum_sq") if n else 0.0
-            post = InverseGamma(n / 2.0 + a, ss / 2.0 + b)
-        elif pair == "binomial-beta":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            n = _count(data_summary)
-            x = _count(data_summary, "x")
-            if x > n:
-                raise InvalidSummary(f"successes x={x:g} exceed trials n={n:g}")
-            post = Beta(x + a, n - x + b)
-        elif pair == "negbinomial-beta":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            r = _pos(prior_params, "r")
-            n = _count(data_summary)
-            s = _nonneg(data_summary, "sum") if n else 0.0
-            post = Beta(s + a, n * r + b)
-        elif pair == "weibull-inverse-gamma":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            _pos(prior_params, "k")
-            n = _count(data_summary)
-            sk = _nonneg(data_summary, "sum_pow") if n else 0.0
-            post = InverseGamma(n + a, sk + b)
-        elif pair == "gamma-gamma":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            k = _pos(prior_params, "k")
-            n = _count(data_summary)
-            s = _nonneg(data_summary, "sum") if n else 0.0
-            post = Gamma(n * k + a, s + b)
-        elif pair == "laplace-inverse-gamma":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            float(prior_params["mu"])
-            n = _count(data_summary)
-            sa = _nonneg(data_summary, "sum_abs") if n else 0.0
-            post = InverseGamma(n + a, sa + b)
-        elif pair == "poisson-gamma":
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            n = _count(data_summary)
-            s = _nonneg(data_summary, "sum") if n else 0.0
-            post = Gamma(s + a, n + b)
-        else:  # uniform-pareto
-            a, b = _pos(prior_params, "alpha"), _pos(prior_params, "beta")
-            n = _count(data_summary)
-            m = _nonneg(data_summary, "max") if n else 0.0
-            post = Pareto(n + a, max(m, b))
-            note = PARETO_SIGN_NOTE
+        values = [read_field(prior_params, f) for f, read_field in prior]
+        n = _count(data_summary, "n")
+        s = read(data_summary, stat) if n or read is _count else 0.0
+        post = posterior(*values, n, s)
     except KeyError as exc:
         raise InvalidSummary(f"{pair}: missing field {exc.args[0]!r}") from None
     return PosteriorModel(pair=pair, prior_params=dict(prior_params),
@@ -191,60 +186,22 @@ def update(pair: str, prior_params: dict, data_summary: dict) -> PosteriorModel:
 
 def summarize(pair: str, data, prior_params: dict | None = None) -> dict:
     """Sufficient summary of raw data for the given pair."""
-    if pair not in PAIRS:
-        raise UnknownPair(f"unknown pair {pair!r}; expected one of {PAIRS}")
+    _, (stat, _), _, raw, _ = _row(pair)
+    if raw is None:
+        raise InvalidSummary(f"{pair} takes (n, {stat}) directly, not raw data")
     x = np.asarray(data, dtype=float)
-    n = len(x)
-    p = prior_params or {}
-    if pair == "gaussian-mean":
-        return {"n": n, "mean": float(x.mean()) if n else 0.0}
-    if pair == "gaussian-var":
-        mu = float(p.get("mu", 0.0))
-        return {"n": n, "sum_sq": float(np.sum((x - mu) ** 2))}
-    if pair == "binomial-beta":
-        raise InvalidSummary("binomial-beta takes (n, x) directly, not raw data")
-    if pair == "negbinomial-beta":
-        return {"n": n, "sum": float(x.sum())}
-    if pair == "weibull-inverse-gamma":
-        k = float(p.get("k", 1.0))
-        return {"n": n, "sum_pow": float(np.sum(x ** k))}
-    if pair == "gamma-gamma":
-        return {"n": n, "sum": float(x.sum())}
-    if pair == "laplace-inverse-gamma":
-        mu = float(p.get("mu", 0.0))
-        return {"n": n, "sum_abs": float(np.sum(np.abs(x - mu)))}
-    if pair == "poisson-gamma":
-        return {"n": n, "sum": float(x.sum())}
-    return {"n": n, "max": float(x.max()) if n else 0.0}
-
-
-def flat_prior_model(pair: str, data_summary: dict) -> PosteriorModel:
-    """Posterior under the flat (uninformative) prior, where it is proper.
-
-    Only the Beta pairs admit a proper flat prior within the conjugate
-    family (Beta(1, 1) is the uniform law on [0, 1]); the other pairs have
-    improper flat priors and are rejected.
-    """
-    if pair == "binomial-beta":
-        return update(pair, {"alpha": 1.0, "beta": 1.0}, data_summary)
-    if pair == "negbinomial-beta":
-        raise BayesError("negbinomial-beta needs the fixed r; pass it via "
-                         "update() with alpha=beta=1 instead")
-    if pair not in PAIRS:
-        raise UnknownPair(f"unknown pair {pair!r}; expected one of {PAIRS}")
-    raise BayesError(f"{pair}: flat prior is improper within the conjugate family")
+    return {"n": len(x), stat: raw(x, prior_params or {})}
 
 
 # ------------------------------------------------------------------- bounds
 
 def posterior_bounds(m: PosteriorModel, g: TestFunction,
-                     rel_tol: float = 1e-9, n_mc: int = DEFAULT_N_MC,
-                     seed: int = 0) -> BoundReport:
+                     n_mc: int = DEFAULT_N_MC, seed: int = 0) -> BoundReport:
     """The Cacoullos sandwich on the posterior with its Pearson kernel,
     E[tau g']^2 / Var[T] <= Var[g(T)] <= E[tau (g')^2], reported as method
     posterior-<pair>.  The lower side is withheld where the posterior
     variance is undefined."""
-    report = bound_cacoullos(m.posterior, m.kernel, g, rel_tol=rel_tol,
+    report = bound_cacoullos(m.posterior, m.kernel, g, rel_tol=1e-9,
                              n_mc=n_mc, seed=seed)
     report.method = f"posterior-{m.pair}"
     report.meta.update(pair=m.pair, posterior=repr(m.posterior),

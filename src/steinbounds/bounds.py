@@ -59,6 +59,7 @@ DEFAULT_REL_TOL = 1e-6
 CI99_Z = 2.5758293035489004  # two-sided 99% normal quantile
 DEGENERATE_VAR = 1e-12
 MOMENT_REL_TOL = 1e-3  # quadrature tolerance of the oracle's moments of g(W)
+CX_ORDER_TOL = 1e-6  # tolerance of the convex method's stop-loss comparison
 
 # Bound sides each method promises; a promised side coming back None means
 # it was withheld, and the CLI exits with EXIT_WITHHELD.
@@ -372,17 +373,16 @@ def bound_zero_bias_remainder(d: Distribution, g: TestFunction,
 
 def bound_convex_order(d: Distribution, g: TestFunction,
                        rel_tol: float = DEFAULT_REL_TOL,
-                       n_mc: int = DEFAULT_N_MC, seed: int = 0,
-                       order_tol: float = 1e-6) -> BoundReport:
+                       n_mc: int = DEFAULT_N_MC, seed: int = 0) -> BoundReport:
     """Var[g(W)] <= sigma^2 E[g'(W)^2], gated on W* <=_cx W and convex g'^2.
 
     The convex-order premise is checked on a grid via stop-loss transforms
-    (at tolerance order_tol, reflecting the table-based accuracy of the
+    (at tolerance CX_ORDER_TOL, reflecting the table-based accuracy of the
     continuous zero-bias stop-loss) and the convexity of g'^2 via second
     differences.  Either failure withholds the bound.
     """
     try:
-        cx = check_cx(zero_bias(d), d, tol=order_tol)
+        cx = check_cx(zero_bias(d), d, tol=CX_ORDER_TOL)
         cx.name = "zero-bias-convex-order"
     except (DistributionError, NumericsError) as exc:
         cx = HypothesisCheck("zero-bias-convex-order", False, note=str(exc))

@@ -189,11 +189,7 @@ def _mc_line(report, what):
 def cmd_kernel(args) -> int:
     seed = _resolve_seed(args)
     d = parse_dist(args.dist)
-    try:
-        finite = math.isfinite(d.var())
-    except DistributionError:  # a Pareto law's variance raises where infinite
-        finite = False
-    if not finite:  # on every route, before any table is built
+    if not math.isfinite(d.var()):  # on every route, before any table is built
         raise CLIError(f"{args.dist} has infinite variance: the identity "
                        "E[tau] = Var[W] has no finite value to report")
     if args.route == "pearson":
@@ -289,9 +285,10 @@ def cmd_bound(args) -> int:
     return _exit_code(report, sides)
 
 
-PRIOR_FLAGS = ("alpha", "beta", "mu", "sigma", "delta", "r", "k")
-SUMMARY_FLAGS = ("n", "x", "sum", "max", "mean", "sum_sq", "sum_pow",
-                 "sum_abs")
+# The posterior flags: every field a row of bayes.PAIR_TABLE reads
+_ROWS = bayes.PAIR_TABLE.values()
+PRIOR_FLAGS = tuple(dict.fromkeys(f for prior, *_ in _ROWS for f, _ in prior))
+SUMMARY_FLAGS = ("n", *dict.fromkeys(stat for _, (stat, _), *_ in _ROWS))
 
 
 def cmd_posterior(args) -> int:
@@ -399,16 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("posterior", help="conjugate update and bounds")
     q.add_argument("--pair", required=True, choices=bayes.PAIRS)
-    for f in PRIOR_FLAGS:
-        q.add_argument(f"--{f}", type=float, default=None)
-    q.add_argument("--n", type=float, default=None)
-    q.add_argument("--x", type=float, default=None)
-    q.add_argument("--sum", type=float, default=None)
-    q.add_argument("--max", type=float, default=None)
-    q.add_argument("--mean", type=float, default=None)
-    q.add_argument("--sum-sq", type=float, default=None, dest="sum_sq")
-    q.add_argument("--sum-pow", type=float, default=None, dest="sum_pow")
-    q.add_argument("--sum-abs", type=float, default=None, dest="sum_abs")
+    for f in PRIOR_FLAGS + SUMMARY_FLAGS:  # --sum-sq sets sum_sq, and so on
+        q.add_argument(f"--{f.replace('_', '-')}", type=float, default=None)
     q.add_argument("--g", default=None)
     q.add_argument("--g-named", default=None)
     q.add_argument("--n-mc", type=N_MC, default=10**6)

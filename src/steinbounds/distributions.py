@@ -434,8 +434,8 @@ class Pareto(_StandardLaw):
 
     def var(self):
         a, m = self.params
-        if a <= 2:
-            raise InvalidParameter(f"pareto variance undefined for shape {a} <= 2")
+        if a <= 2:  # inf, as InverseGamma's; mean() still raises
+            return math.inf
         return a * m * m / ((a - 1) ** 2 * (a - 2))
 
 

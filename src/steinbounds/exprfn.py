@@ -381,13 +381,15 @@ BUILTIN_FUNCTIONS = {
     "log1psq": "log(1 + x^2)",
 }
 
+PROBE_COUNT = 256  # points of the grid a test function is checked on
 
-def make_test_function(e, effective: Interval, probe_count: int = 256,
-                       check: bool = True) -> TestFunction:
+
+def make_test_function(e, effective: Interval) -> TestFunction:
     """Bundle an expression (or its text) into a TestFunction.
 
     Cross-checks the symbolic derivative against centered finite differences
-    on the probe grid; raises DerivativeMismatch when they disagree.
+    on the PROBE_COUNT-point probe grid; raises DerivativeMismatch when they
+    disagree.
     """
     if isinstance(e, str):
         e = parse(e)
@@ -395,9 +397,8 @@ def make_test_function(e, effective: Interval, probe_count: int = 256,
     d2 = d1.diff()
     lo = effective.lo if effective.lo_finite else -8.0
     hi = effective.hi if effective.hi_finite else 8.0
-    grid = np.linspace(lo, hi, probe_count)
-    if check:
-        _check_derivative(e, d1, grid)
+    grid = np.linspace(lo, hi, PROBE_COUNT)
+    _check_derivative(e, d1, grid)
     with np.errstate(all="ignore"):  # 0 * inf at a support edge is nan
         g1g2 = d1(grid) * d2(grid)
     sup = float(np.max(np.abs(g1g2))) if np.all(np.isfinite(g1g2)) else math.inf
@@ -407,7 +408,7 @@ def make_test_function(e, effective: Interval, probe_count: int = 256,
 
 def _check_derivative(e, d1, grid, h=1e-5, rel_tol=1e-4):
     # Stay off the grid ends so x +- h remains in the domain.
-    xs = grid[2:-2:4] if len(grid) > 8 else grid
+    xs = grid[2:-2:4]
     sym = d1(xs)
     fd = (e(xs + h) - e(xs - h)) / (2 * h)
     ok = np.isfinite(sym) & np.isfinite(fd)
@@ -420,10 +421,9 @@ def _check_derivative(e, d1, grid, h=1e-5, rel_tol=1e-4):
             f"symbolic {sym[i]:.6g} vs finite-difference {fd[i]:.6g} at x={xs[i]:.6g}")
 
 
-def named_test_function(name: str, effective: Interval,
-                        probe_count: int = 256) -> TestFunction:
+def named_test_function(name: str, effective: Interval) -> TestFunction:
     try:
         text = BUILTIN_FUNCTIONS[name]
     except KeyError:
         raise ExprError(f"unknown built-in function {name!r}") from None
-    return make_test_function(text, effective, probe_count)
+    return make_test_function(text, effective)

@@ -75,15 +75,15 @@ class SteinKernel:
     def __call__(self, x):
         return self.eval(x)
 
-    def expected_value(self, rel_tol: float = 1e-9) -> float:
+    def expected_value(self) -> float:
         """E[tau(W)]; equals Var[W] when the kernel is exact.  A Pearson
-        kernel takes quadrature at rel_tol; a table kernel's is the exact
+        kernel takes quadrature at rel_tol 1e-9; a table kernel's is the exact
         integral of its table's cubics (TailMoments.excess_integral), so
         that its distance to Var[W] is the table's interpolation error, and
         it reads no density and integrates nothing."""
         if self.table is not None:
             return self.table.excess_integral(self.base.mean())
-        return self.base.expect(self.eval, rel_tol=rel_tol)
+        return self.base.expect(self.eval, rel_tol=1e-9)
 
 
 # ------------------------------------------------------------- Pearson route

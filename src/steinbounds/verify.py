@@ -76,10 +76,10 @@ class ScenarioResult:
     def passed(self):
         return all(a.passed for a in self.assertions)
 
-    def to_dict(self, include_runtime: bool = False):
-        """Serialized payload; runtime is excluded by default so identical
-        runs produce byte-identical payloads."""
-        out = {
+    def to_dict(self):
+        """Serialized payload; runtime is left out so identical runs
+        produce byte-identical payloads."""
+        return {
             "scenario": self.scenario,
             "inputs": {k: (v if isinstance(v, str) else float(v))
                        for k, v in self.inputs.items()},
@@ -88,9 +88,6 @@ class ScenarioResult:
             "reports": self.reports,
             "oracle": {k: float(v) for k, v in self.oracle.items()},
         }
-        if include_runtime:
-            out["runtime"] = self.runtime
-        return out
 
     def check(self, name, observed, expected, tolerance, two_sided=True):
         """Record |observed - expected| <= tol (two-sided) or
@@ -104,16 +101,10 @@ class ScenarioResult:
         return ok
 
 
-def _finish(result: ScenarioResult, t0: float):
-    result.runtime = time.time() - t0
-    return result
-
-
 def scenario_bernoulli_sum(params, seed):
     """Sum of n standardized Bernoulli(p): the remainder upper bound vs MC,
     and its Wasserstein-1 gap and the MC gap E|X*_I - X_I| of the sum
     coupling against the closed form (p^2 + q^2) / (2 sqrt(npq))."""
-    t0 = time.time()
     n = int(params.get("n", 30))
     p = float(params.get("p", 0.3))
     g_src = str(params.get("g", "sin(x)"))
@@ -141,7 +132,7 @@ def scenario_bernoulli_sum(params, seed):
     res.oracle["e_abs_gap"] = gap
     res.check("mean-abs-gap-matches-closed-form", gap, gap_expected,
               MC_SIGMAS * gap_se)
-    return _finish(res, t0)
+    return res
 
 
 def scenario_permutation(params, seed):
@@ -149,7 +140,6 @@ def scenario_permutation(params, seed):
     values against the closed formula, and the remainder bound on Z = (W -
     E[W]) / sigma against the exact and the MC variance, with its
     Wasserstein-1 gap below the coupling bound E|Z* - Z| <= 8 C / sigma."""
-    t0 = time.time()
     n = int(params.get("n", 8))
     n_mc = int(params.get("n_mc", 10**5))
     if n > 9:
@@ -182,7 +172,7 @@ def scenario_permutation(params, seed):
                   var_exact, MC_SIGMAS * report.mc_se)
     res.check("w1-gap-below-coupling-bound", report.diagnostics["e_abs_gap"],
               8.0 * stat.C / math.sqrt(stat.var()), 0.0, two_sided=False)
-    return _finish(res, t0)
+    return res
 
 
 # Two-point parts for the convex-order scenario: skewed parts appear in
@@ -195,7 +185,6 @@ _CX_PARTS = ((1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (1.5, 1.5), (0.8, 0.8),
 def scenario_two_point_cx(params, seed):
     """Sum of mean-zero two-point laws: W* <=_cx W, so the convex-order
     upper bound applies for g with convex g'^2."""
-    t0 = time.time()
     n = int(params.get("n", 5))
     g_src = str(params.get("g", "x^3/3"))
     n_mc = int(params.get("n_mc", 10**6))
@@ -219,14 +208,13 @@ def scenario_two_point_cx(params, seed):
         res.check("upper-bound-vs-mc", report.mc_variance,
                   report.upper + MC_SIGMAS * report.mc_se, 0.0,
                   two_sided=False)
-    return _finish(res, t0)
+    return res
 
 
 def scenario_geometric_random_sum(params, seed):
     """Geometric(rho) number of Exponential(rate) summands: the counting
     condition and NWUE both hold, and the equilibrium branch-(b) lower
     bound applies for increasing g + x g'."""
-    t0 = time.time()
     rho = float(params.get("rho", 0.5))
     rate = float(params.get("rate", 1.0))
     g_src = str(params.get("g", "x"))
@@ -252,14 +240,13 @@ def scenario_geometric_random_sum(params, seed):
         res.check("lower-bound-vs-mc", report.lower,
                   report.mc_variance + MC_SIGMAS * report.mc_se, 0.0,
                   two_sided=False)
-    return _finish(res, t0)
+    return res
 
 
 def scenario_smoothing(params, seed):
     """Gaussian-smoothed Rademacher: closed kernel value at the origin,
     the moment identity E[tau_eps(Y+Z)] = Var[Y] + eps^2, and the claim-(i)
     upper bound against the unsmoothed MC variance."""
-    t0 = time.time()
     n_mc = int(params.get("n_mc", 10**6))
     base = two_point(1.0, 1.0)  # Rademacher
     res = ScenarioResult("smoothing", {"n_mc": n_mc})
@@ -291,7 +278,7 @@ def scenario_smoothing(params, seed):
         res.check("claim-i-upper-vs-mc", report.mc_variance,
                   report.upper + MC_SIGMAS * report.mc_se, 0.0,
                   two_sided=False)
-    return _finish(res, t0)
+    return res
 
 
 # One representative (prior, summary) setting per conjugate pair; the
@@ -319,7 +306,6 @@ def scenario_conjugate(params, seed):
     """All nine conjugate pairs: the posterior sandwich brackets Var[g(T)]
     computed by quadrature, the MC variance lies below the upper side, and
     the kernel moment identity E[tau] = Var holds on each posterior."""
-    t0 = time.time()
     n_mc = int(params.get("n_mc", 10**5))
     res = ScenarioResult("conjugate", {"n_mc": n_mc})
     for pair, prior, summary in CONJUGATE_SETTINGS:
@@ -342,7 +328,7 @@ def scenario_conjugate(params, seed):
         if rep.mc_se is not None:
             res.check(f"mc-within-sandwich[{pair}]", rep.mc_variance,
                       rep.upper + MC_SIGMAS * rep.mc_se, 0.0, two_sided=False)
-    return _finish(res, t0)
+    return res
 
 
 SCENARIOS = {
@@ -363,7 +349,10 @@ def run_scenario(scenario_id: str, params: dict | None = None,
         raise UnknownScenario(
             f"unknown scenario {scenario_id!r}; known: {sorted(SCENARIOS)}"
         ) from None
-    return fn(dict(params or {}), seed)
+    t0 = time.time()
+    result = fn(dict(params or {}), seed)
+    result.runtime = time.time() - t0
+    return result
 
 
 def run_all(seed: int = 42, params: dict | None = None):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from steinbounds.bayes import (PAIRS, BayesError, InvalidSummary,
-                               UnknownPair, flat_prior_model,
+from steinbounds.bayes import (PAIRS, InvalidSummary, UnknownPair,
                                posterior_bounds, summarize, update)
 from steinbounds.exprfn import make_test_function
 from steinbounds.numerics import Interval
+from steinbounds.verify import CONJUGATE_SETTINGS
 
 
 def test_pairs_catalog():
@@ -63,13 +63,73 @@ def test_summarize_matches_manual():
     assert s["n"] == 3 and s["mean"] == pytest.approx(2.0)
 
 
-def test_flat_prior_scope():
-    m = flat_prior_model("binomial-beta", {"n": 10, "x": 3})
-    assert m.posterior.params == (4.0, 8.0)
-    with pytest.raises(BayesError):
-        flat_prior_model("poisson-gamma", {"n": 3, "sum": 4.0})
-    with pytest.raises(UnknownPair):
-        flat_prior_model("nonesuch", {})
+DATA = np.array([0.5, 1.2, 2.0, 3.1])
+COUNTS = np.array([1.0, 0.0, 3.0, 2.0])  # for the count likelihoods
+
+# The posteriors of the bayes module docstring, written out by hand from
+# the data x, its size n and the prior fields p.
+DOCSTRING_POSTERIORS = {
+    "gaussian-mean": lambda x, n, p: (
+        (p["sigma"] ** 2 * p["mu"] + n * p["delta"] ** 2 * x.mean())
+        / (n * p["delta"] ** 2 + p["sigma"] ** 2),
+        p["sigma"] ** 2 * p["delta"] ** 2
+        / (n * p["delta"] ** 2 + p["sigma"] ** 2)),
+    "gaussian-var": lambda x, n, p: (
+        n / 2 + p["alpha"], np.sum((x - p["mu"]) ** 2) / 2 + p["beta"]),
+    "negbinomial-beta": lambda x, n, p: (
+        x.sum() + p["alpha"], n * p["r"] + p["beta"]),
+    "weibull-inverse-gamma": lambda x, n, p: (
+        n + p["alpha"], np.sum(x ** p["k"]) + p["beta"]),
+    "gamma-gamma": lambda x, n, p: (
+        n * p["k"] + p["alpha"], x.sum() + p["beta"]),
+    "laplace-inverse-gamma": lambda x, n, p: (
+        n + p["alpha"], np.sum(np.abs(x - p["mu"])) + p["beta"]),
+    "poisson-gamma": lambda x, n, p: (x.sum() + p["alpha"], n + p["beta"]),
+    "uniform-pareto": lambda x, n, p: (
+        n + p["alpha"], max(x.max(), p["beta"])),
+}
+
+
+@pytest.mark.parametrize("pair, prior", [
+    pytest.param(pair, {**prior, "mu": 0.5} if "mu" in prior and
+                 pair != "gaussian-mean" else prior, id=pair)
+    for pair, prior, _ in CONJUGATE_SETTINGS if pair != "binomial-beta"])
+def test_update_of_summary_is_docstring_posterior(pair, prior):
+    # every raw-data pair, with a nonzero location mu where summarize reads it
+    x = COUNTS if pair in ("negbinomial-beta", "poisson-gamma") else DATA
+    m = update(pair, prior, summarize(pair, x, prior))
+    assert m.posterior.params == pytest.approx(
+        DOCSTRING_POSTERIORS[pair](x, len(x), prior), rel=1e-12)
+
+
+def test_statistic_is_read_only_with_data_but_x_always():
+    # with n = 0 a statistic of the data is not read, while binomial-beta's
+    # success count is read and checked whatever n is
+    m = update("poisson-gamma", {"alpha": 2.0, "beta": 1.0}, {"n": 0})
+    assert m.posterior.params == (2.0, 1.0)
+    prior = {"alpha": 1.0, "beta": 1.0}
+    with pytest.raises(InvalidSummary, match="missing field 'x'"):
+        update("binomial-beta", prior, {"n": 0})
+    with pytest.raises(InvalidSummary, match="exceed trials"):
+        update("binomial-beta", prior, {"n": 0, "x": 1})
+
+
+def test_binomial_beta_has_no_raw_summary():
+    with pytest.raises(InvalidSummary, match="binomial-beta takes"):
+        summarize("binomial-beta", [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("pair, prior, summary", CONJUGATE_SETTINGS,
+                         ids=[row[0] for row in CONJUGATE_SETTINGS])
+def test_missing_field_is_named(pair, prior, summary):
+    for key in [*prior, *summary]:
+        args = ({k: v for k, v in prior.items() if k != key},
+                {k: v for k, v in summary.items() if k != key})
+        if (pair, key) == ("gaussian-var", "mu"):
+            update(pair, *args)  # the known mean is summarize's alone
+            continue
+        with pytest.raises(InvalidSummary, match=f"missing field '{key}'"):
+            update(pair, *args)
 
 
 def test_pareto_sign_note_attached():

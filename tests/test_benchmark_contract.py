@@ -25,7 +25,19 @@ tracer.request_span(1, sb.bound_zero_bias, sb.zero_bias(d), g, 1e-6, 10**4)
 s = sb.smooth(sb.parse_dist("two-point:1,1.5"), 0.5)
 tracer.request_span(2, sb.bound_smoothed, s, sb.make_test_function(
     "x", s.effective_interval(1e-9)), "i", 1e-6, 10**4)
+
+
+def posterior(pair, prior, summary):
+    m = sb.posterior_update(pair, prior, summary)
+    return sb.posterior_bounds(m, sb.make_test_function(
+        "x", m.posterior.effective_interval(1e-9)), n_mc=10**4)
+
+
+tracer.request_span(3, posterior, "binomial-beta", {"alpha": 1.0, "beta": 1.0},
+                    {"n": 10, "x": 3})
 totals = tracer.totals()
+print(*(totals.get(name, [0])[0] for name in (
+    "bayes.update", "bayes.posterior_bounds")))
 print(*(totals.get(name, [0])[0] for name in (
     "numerics.quad", "transforms.zero_bias.expect", "kernels.smoothed_kernel",
     "kernels.tau")))
@@ -45,3 +57,7 @@ def test_tracer_installs_and_sees_quadrature():
     # quadrature, the zero-bias law's expect, the smoothed kernel and tau:
     # mc-oracle's traced run checks each of these layers
     assert all(count >= 1 for count in counts), counts
+    # a posterior request passes through both bayes layers, which
+    # mc-oracle's traced run also checks
+    bayes_counts = list(map(int, done.stdout.split()[-6:-4]))
+    assert all(count >= 1 for count in bayes_counts), bayes_counts

@@ -12,7 +12,7 @@ import pytest
 from steinbounds import cli, numerics
 from steinbounds.kernels import SmoothedDistribution
 from steinbounds.numerics import NumericsError
-from steinbounds.verify import ScenarioResult
+from steinbounds.verify import CONJUGATE_SETTINGS, ScenarioResult
 
 
 def read_json(path):
@@ -270,6 +270,19 @@ def test_posterior_pareto_note(capsys):
 def test_posterior_invalid_summary():
     assert cli.main(["posterior", "--pair", "binomial-beta", "--alpha", "1",
                      "--beta", "1", "--n", "5", "--x", "7", "--g", "x"]) == 2
+
+
+@pytest.mark.parametrize("pair, prior, summary", CONJUGATE_SETTINGS,
+                         ids=[row[0] for row in CONJUGATE_SETTINGS])
+def test_every_pair_field_is_a_posterior_flag(tmp_path, pair, prior, summary):
+    # each field a pair reads is a flag (--sum-sq for sum_sq) that reaches it
+    argv = ["posterior", "--pair", pair, "--g", "x", "--n-mc", "10000"]
+    for key, value in {**prior, **summary}.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    out = tmp_path / "p.json"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    model = read_json(out)["results"]["model"]
+    assert (model["prior_params"], model["data_summary"]) == (prior, summary)
 
 
 def test_verify_unknown_scenario():
@@ -532,6 +545,20 @@ def test_cacoullos_lower_withheld_without_variance(tmp_path, dist):
         bounds = read_json(post)["results"]["bounds"]
         assert bounds["lower"] is None
         assert bounds["upper"] == pytest.approx(rep["upper"], rel=1e-9)
+
+
+@pytest.mark.parametrize("dist", ["pareto:2,1", "invgamma:2,1"])
+def test_infinite_variance_laws_withhold_alike(tmp_path, dist):
+    # both variances are inf, not an error: the cacoullos lower side names
+    # it, and the smoothed-i bound is withheld (exit 3) on both
+    out = tmp_path / "r.json"
+    argv = ["bound", "--dist", dist, "--g", "x/(1+x^2)", "--n-mc", "10000"]
+    assert cli.main(argv + ["--method", "cacoullos", "--out", str(out)]) == \
+        cli.EXIT_WITHHELD
+    assert read_json(out)["results"]["meta"]["lower_note"].startswith(
+        "variance inf is not in (0, inf)")
+    assert cli.main(argv + ["--method", "smoothed-i", "--epsilon", "0.5"]) == \
+        cli.EXIT_WITHHELD
 
 
 def test_equilibrium_lower_on_point_mass_is_withheld(tmp_path, recwarn):
