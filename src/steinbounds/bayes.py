@@ -35,6 +35,7 @@ builds its posterior flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,19 +87,20 @@ class PosteriorModel:
 # ------------------------------------------------------------------ updates
 
 def _reader(bad, what):
-    """The reader float(fields[key]), rejected where bad(value)."""
+    """The reader float(fields[key]), rejected where it is not finite or
+    where bad(value)."""
     def read(fields, key):
         v = float(fields[key])
-        if bad(v):
+        if not math.isfinite(v) or bad(v):
             raise InvalidSummary(f"{key} must be {what}, got {v}")
         return v
     return read
 
 
-_real = _reader(lambda v: False, "a number")
-_pos = _reader(lambda v: v <= 0, "> 0")
+_real = _reader(lambda v: False, "a finite number")
+_pos = _reader(lambda v: v <= 0, "finite and > 0")
 _count = _reader(lambda v: v < 0 or v != int(v), "a nonnegative integer")
-_nonneg = _reader(lambda v: v < 0, ">= 0")
+_nonneg = _reader(lambda v: v < 0, "finite and >= 0")
 
 
 def _gaussian_mean(mu, delta, sigma, n, xbar):

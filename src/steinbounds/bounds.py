@@ -49,7 +49,7 @@ from .distributions import Distribution, DistributionError
 from .exprfn import TestFunction
 from .kernels import SmoothedDistribution, SteinKernel, smoothed_kernel
 from .numerics import (IntegrationError, NonFiniteError, NumericsError,
-                       rng_stream)
+                       blocked, mean_se, rng_stream, var_in_place)
 from .orderings import (HypothesisCheck, check_cx, check_nbue_nwue,
                         check_shape, law_grid)
 from .transforms import ZeroBiasDistribution, zero_bias
@@ -123,21 +123,20 @@ def _by_quadrature(d: Distribution) -> bool:
     return d.has_density or len(d.atoms()[0]) > 0
 
 
-def _sample_variance(y, central=None):
-    """(sample variance, its standard error, 99% halfwidth) of the values y.
-
-    The standard error is the exact one, sqrt((mu4 - (n-3)/(n-1) mu2^2)/n),
-    for the central moments central = (mu2, mu4) of the law of y.  Without
-    them, the sample's own variance and fourth central moment stand in.
-    """
-    n = len(y)
-    s2 = float(np.var(y, ddof=1))
-    if central is None:
-        c2 = (y - y.mean())**2
-        central = s2, float(np.mean(c2 * c2))
-    mu2, mu4 = central
+def _with_se(s2, n, mu2, mu4):
+    """(s2, its standard error, 99% halfwidth) for a sample variance s2 of n
+    values: the exact standard error sqrt((mu4 - (n-3)/(n-1) mu2^2)/n), for
+    the central moments mu2 and mu4 of the law of the values."""
     se = math.sqrt(max(mu4 - (n - 3) / (n - 1) * mu2 * mu2, 0.0) / n)
     return s2, se, CI99_Z * se
+
+
+def _sample_variance(y):
+    """(sample variance, its standard error, 99% halfwidth) of the values y,
+    with the sample's own variance and fourth central moment standing in
+    for the law's; y is overwritten."""
+    s2 = var_in_place(y)  # y now holds the squared deviations
+    return _with_se(s2, len(y), s2, float(np.square(y, out=y).mean()))
 
 
 def mc_variance(d: Distribution, g, seed: int, n_mc: int, stream_id: int = 0):
@@ -145,15 +144,21 @@ def mc_variance(d: Distribution, g, seed: int, n_mc: int, stream_id: int = 0):
     draws on stream (seed, stream_id), its standard error and its 99%
     confidence halfwidth.
 
-    Where d takes quadrature, the central moments mu2 and mu4 of g(W) are
-    one expectation at MOMENT_REL_TOL, centred at the sample mean, and se
-    and ci99 are None when it raises: E[g(W)^4] is then not shown finite.
-    On a law with neither density nor atoms they come from the sample.
+    g is read in blocks into the draws' own array, and the variance is
+    taken in place (numerics.var_in_place), so past the sampler the oracle
+    holds one array of n_mc values.  Where d takes quadrature, the central
+    moments mu2 and mu4 of g(W) are one expectation at MOMENT_REL_TOL,
+    centred at the sample mean, and se and ci99 are None when it raises:
+    E[g(W)^4] is then not shown finite.  On a law with neither density nor
+    atoms they come from the sample.
     """
-    y = np.asarray(g(d.sample(rng_stream(seed, stream_id), n_mc)), dtype=float)
+    y = np.asarray(d.sample(rng_stream(seed, stream_id), n_mc), dtype=float)
+    y = blocked(g, y, out=y)
     if not _by_quadrature(d):
         return _sample_variance(y)
     m = y.mean()
+    s2 = var_in_place(y)
+    del y
 
     def central(x):
         with np.errstate(all="ignore"):  # an overflow fails the quadrature
@@ -163,8 +168,8 @@ def mc_variance(d: Distribution, g, seed: int, n_mc: int, stream_id: int = 0):
     try:
         mu2, mu4 = d.expect(central, rel_tol=MOMENT_REL_TOL)
     except (NonFiniteError, IntegrationError):
-        return float(np.var(y, ddof=1)), None, None
-    return _sample_variance(y, (mu2, mu4))
+        return s2, None, None
+    return _with_se(s2, n_mc, mu2, mu4)
 
 
 def _expect(d: Distribution, f, rel_tol, seed, n_mc, stream_id):
@@ -259,7 +264,8 @@ def _bound(method, law: Distribution, weight, g: TestFunction, var_w,
 class SteinCoupling:
     """A coupling (gamma, T1, T2) with E[gamma(W) phi(W)] = E[T1 phi'(T2)].
 
-    joint_sampler(rng, size) must return a (W, T1, T2) triple of arrays.
+    joint_sampler(rng, size) must return a (W, T1, T2) triple of arrays;
+    T1 may be a scalar, and so may gamma_prime's value.
     direction declares whether the defining relation is an equality or a
     one-sided inequality ('equality' | 'upper-only' | 'lower-only');
     one-sided couplings only support the corresponding bound.
@@ -282,33 +288,37 @@ def bound_generic(c: SteinCoupling, g: TestFunction,
 
     Upper: E[T1 / gamma'(T2) * g'(T2)^2]; lower: (E[T1 g'(T2)])^2 divided
     by Var[gamma(W)].  A one-sided coupling yields only its declared side.
+    g, g' and gamma are read in blocks, each array goes after its last use
+    and the reductions run in place, so at most three arrays of n_mc
+    values are held at once.
     """
-    rng = rng_stream(seed, 1)
-    w, t1, t2 = c.joint_sampler(rng, n_mc)
-    w = np.asarray(w, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    g1_t2 = np.asarray(g.g1(t2), dtype=float)
+    w, t1, t2 = (np.asarray(a, dtype=float)
+                 for a in c.joint_sampler(rng_stream(seed, 1), n_mc))
+    upper_side = c.direction in ("equality", "upper-only")
+    if upper_side:
+        ratio = t1 / np.asarray(c.gamma_prime(t2), dtype=float)
+    g1 = blocked(g.g1, t2)
+    del t2
 
     upper = lower = None
     diagnostics = {}
-    if c.direction in ("equality", "upper-only"):
-        upper_terms = t1 / np.asarray(c.gamma_prime(t2), dtype=float) * g1_t2**2
-        upper = float(upper_terms.mean())
-        diagnostics["upper_se"] = float(upper_terms.std(ddof=1) / math.sqrt(n_mc))
+    if upper_side:
+        terms = np.square(g1)
+        terms *= ratio
+        del ratio
+        upper, diagnostics["upper_se"] = mean_se(terms)
+        del terms
     if c.direction in ("equality", "lower-only"):
-        num_terms = t1 * g1_t2
-        num = float(num_terms.mean())
-        gamma_w = np.asarray(c.gamma(w), dtype=float)
-        var_gamma = float(np.var(gamma_w, ddof=1))
+        g1 *= t1
+        num, diagnostics["lower_numerator_se"] = mean_se(g1)
+        var_gamma = var_in_place(blocked(c.gamma, w))
         if var_gamma < DEGENERATE_VAR:
             raise BoundError("Var[gamma(W)] is numerically zero")
         lower = num * num / var_gamma
-        diagnostics["lower_numerator_se"] = float(
-            num_terms.std(ddof=1) / math.sqrt(n_mc))
         diagnostics["var_gamma"] = var_gamma
+    del g1
 
-    s2, se, ci = _sample_variance(np.asarray(g(w), dtype=float))
+    s2, se, ci = _sample_variance(blocked(g, w))
     reported = [s2, se, *diagnostics.values()] + [
         v for v in (lower, upper) if v is not None]
     if not np.all(np.isfinite(reported)):

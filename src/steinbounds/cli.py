@@ -73,6 +73,7 @@ GRID = _checked(int, lambda n: n >= 1, "an integer >= 1")
 GRID_POINTS = _checked(int, lambda n: n >= 16, "an integer >= 16")
 GAP = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 EPSILON = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+POINT = _checked(float, math.isfinite, "finite")
 
 
 @functools.cache
@@ -223,18 +224,15 @@ def cmd_kernel(args) -> int:
 
 def _generic_from_zero_bias(d, g, n_mc, seed):
     """CLI 'generic' method: the zero-bias coupling (gamma=id, T1=sigma^2,
-    T2=W*) evaluated by the Monte-Carlo generic-coupling routine."""
+    T2=W*) evaluated by the Monte-Carlo generic-coupling routine; T1 and
+    gamma' = 1 are scalars."""
     star = zero_bias(d)
-    s2 = star.sigma2
 
     def joint(rng, size):
         w = d.sample(rng, size)
-        t2 = star.sample(rng, size)
-        return w, np.full(size, s2), t2
+        return w, star.sigma2, star.sample(rng, size)
 
-    coupling = SteinCoupling(gamma=lambda x: x,
-                             gamma_prime=lambda x: np.ones_like(
-                                 np.asarray(x, dtype=float)),
+    coupling = SteinCoupling(gamma=lambda x: x, gamma_prime=lambda x: 1.0,
                              joint_sampler=joint)
     return bound_generic(coupling, g, n_mc=n_mc, seed=seed)
 
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--dist", required=True, help='law as "family:p1,p2,..."')
     k.add_argument("--route", choices=("pearson", "integral", "smoothed"),
                    default="pearson")
-    k.add_argument("--x", type=float, nargs="+", default=None,
+    k.add_argument("--x", type=POINT, nargs="+", default=None,
                    help="evaluation points")
     k.add_argument("--grid", type=GRID, default=9,
                    help="grid size when --x is absent")

@@ -25,7 +25,7 @@ from scipy import special as _special
 from scipy.special import _ufuncs as _special_ufuncs
 
 from .numerics import (GL_X, QUAD_CHUNK, REAL_LINE, TAIL_EDGES, Interval, _weigh,
-                       integrate, panel_rule)
+                       blocked, integrate, panel_rule)
 
 TAIL_MASS = 1e-9  # default quantile range for effective intervals
 STOP_LOSS_NODES = 2048  # nodes of the tail-moment table behind stop_loss
@@ -54,7 +54,8 @@ class Distribution:
 
     Subclasses populate family, params and support, and set has_density
     when they define density.  Samplers are stateless: they consume a
-    caller-provided numpy Generator.
+    caller-provided numpy Generator, and return a new float array that the
+    caller may overwrite.
     """
 
     family = "abstract"
@@ -82,8 +83,10 @@ class Distribution:
         raise DistributionError(f"{self.family}: no closed variance")
 
     def sample(self, rng, size):
-        """Draws by the inverse cdf of uniforms."""
-        return self.quantile(rng.uniform(size=size))
+        """Draws by the inverse cdf of uniforms, read in blocks into the
+        uniforms' own array."""
+        u = rng.uniform(size=size)
+        return blocked(self.quantile, u, out=u)
 
     def atoms(self):
         """Discrete part as (values, probabilities) arrays; empty if none."""
@@ -101,11 +104,13 @@ class Distribution:
 
     def _atom_cum(self):
         """The atoms and their cumulative probabilities, for a law that is
-        only atoms."""
-        if not self.only_atoms:
-            raise DistributionError(f"{self.family}: no cdf")
-        vals, probs = self.atoms()
-        return vals, np.cumsum(probs)
+        only atoms, computed once per law: sample reads them once per block."""
+        if "_atom_table" not in self.__dict__:
+            if not self.only_atoms:
+                raise DistributionError(f"{self.family}: no cdf")
+            vals, probs = self.atoms()
+            self._atom_table = vals, np.cumsum(probs)
+        return self._atom_table
 
     def quantile(self, p):
         """The inverse cdf at p (a float gives a float) of a law that is only
@@ -363,7 +368,9 @@ class Gamma(_StandardLaw):
         return _special.gammaincinv(self.params[0], q)
 
     def sample(self, rng, size):
-        return rng.standard_gamma(self.params[0], size) * self.scale
+        x = rng.standard_gamma(self.params[0], size)
+        x *= self.scale
+        return x
 
 
 class InverseGamma(_StandardLaw):
@@ -398,7 +405,8 @@ class InverseGamma(_StandardLaw):
 
     def sample(self, rng, size):
         a, b = self.params
-        return b / rng.standard_gamma(a, size)
+        x = rng.standard_gamma(a, size)
+        return np.divide(b, x, out=x)
 
 
 class Pareto(_StandardLaw):
@@ -465,7 +473,9 @@ class Exponential(_StandardLaw):
         return np.exp(-self.params[0] * np.maximum(np.asarray(x, float), 0.0))
 
     def sample(self, rng, size):
-        return rng.standard_exponential(size) * self.scale
+        x = rng.standard_exponential(size)
+        x *= self.scale
+        return x
 
     def stop_loss(self, t):
         lam = self.params[0]
@@ -679,7 +689,7 @@ class SamplerSum(Distribution):
             return super().sample(rng, size)
         total = np.zeros(size)
         for p in self.parts:
-            total = total + p.sample(rng, size)
+            total += p.sample(rng, size)
         return total
 
 
@@ -882,7 +892,10 @@ class Affine(Distribution):
         return self.scale * (self.base.quantile(p) + self.shift)
 
     def sample(self, rng, size):
-        return self.scale * (self.base.sample(rng, size) + self.shift)
+        x = self.base.sample(rng, size)
+        x += self.shift
+        x *= self.scale
+        return x
 
     def atoms(self):
         v, p = self.base.atoms()

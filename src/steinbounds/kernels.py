@@ -283,7 +283,9 @@ class SmoothedDistribution(_TabulatedLaw):
         return self.base.var() + self.epsilon ** 2
 
     def sample(self, rng, size):
-        return self.base.sample(rng, size) + rng.normal(0.0, self.epsilon, size=size)
+        x = self.base.sample(rng, size)
+        x += rng.normal(0.0, self.epsilon, size=size)
+        return x
 
 
 def smooth(base: Distribution, epsilon: float) -> SmoothedDistribution:

@@ -34,6 +34,7 @@ _PANEL_W[:16, 0], _PANEL_W[16:, 1] = GL_W, _GL24_W
 # substitution on fixed panels for a power-law tail.
 TAIL_EDGES = 1.3 ** np.arange(129) - 1.0
 QUAD_CHUNK = 4096  # values of f per vectorised call, bounding peak memory
+BLOCK = 2**16  # draws per call of a per-draw transform (blocked)
 # Panels refine until the error estimate is below this share of the
 # tolerance: on an oscillating tail the 24-point sum can be off by as much
 # as its distance to the 16-point sum, the error estimate.
@@ -238,6 +239,37 @@ def sign_changes(f, x):
         same = np.sign(f(mid)) == np.sign(fa)
         a, b = np.where(same, mid, a), np.where(same, b, mid)
     return a
+
+
+def blocked(f, *xs, out=None):
+    """out[i:j] = f(x[i:j], ...) over blocks of BLOCK entries of the aligned
+    1-d arrays xs: a per-draw transform whose temporaries are blocks, not
+    arrays of every draw.
+
+    f must act entry by entry, so that the result does not depend on
+    BLOCK.  out is a new float array when None; it may be one of xs, each
+    block of which f reads before it is overwritten."""
+    n = len(xs[0])
+    out = np.empty(n) if out is None else out
+    for i in range(0, n, BLOCK):
+        out[i:i + BLOCK] = f(*(x[i:i + BLOCK] for x in xs))
+    return out
+
+
+def var_in_place(y) -> float:
+    """np.var(y, ddof=1) of the float array y, by numpy's own operations in
+    numpy's order, so to the bit, but in y itself: y ends holding the
+    squared deviations (y - mean)^2, and no copy of it is made."""
+    np.subtract(y, y.mean(), out=y)
+    np.square(y, out=y)
+    return float(y.sum() / (len(y) - 1))
+
+
+def mean_se(y):
+    """(mean, standard error of the mean) of the sample y, as y.mean() and
+    y.std(ddof=1) / sqrt(n) give them; y is overwritten (var_in_place)."""
+    mean = float(y.mean())
+    return mean, math.sqrt(var_in_place(y)) / math.sqrt(len(y))
 
 
 def inverse_cdf(F, p: float, iv: Interval, tol: float = 1e-12) -> float:

@@ -13,12 +13,12 @@ stop_loss(d, t) is the entry point to a law's own stop-loss transform.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
 from .distributions import Distribution, _like
-from .numerics import Interval, integrate, sign_changes
+from .numerics import Interval, blocked, integrate, mean_se, sign_changes
 
 
 class TransformError(Exception):
@@ -216,21 +216,31 @@ class SumZeroBiasCoupling:
         by 2 size draws.  The replaced part and its zero-bias replacement
         are coupled comonotonically, both read at u through their inverse
         cdfs, which minimises E|X*_I - X_I| and matches the closed-form
-        replacement cost for standardized Bernoulli parts.  Memory is
-        O(size) whatever the number of parts."""
+        replacement cost for standardized Bernoulli parts.  Both quantiles
+        are read in blocks (numerics.blocked), and the group indices are
+        kept in the smallest integer type that holds them, so the peak is
+        about three arrays of size whatever the number of parts."""
         k = rng.choice(len(self.laws), size=size, p=self.weights)
+        k = k.astype(np.min_scalar_type(len(self.laws)))
         u = rng.uniform(size=size)
-        x, x_star = np.empty(size), np.empty(size)
-        for j, (part, star) in enumerate(zip(self.laws, self.stars)):
-            at = np.flatnonzero(k == j)
-            x[at] = part.quantile(u[at])
-            x_star[at] = star.quantile(u[at])
-        return x, x_star, np.abs(x_star - x)
+        x = blocked(functools.partial(_pick, self.laws), k, u)
+        x_star = blocked(functools.partial(_pick, self.stars), k, u)
+        gap = np.subtract(x_star, x, out=u)
+        return x, x_star, np.abs(gap, out=gap)
 
     def mean_abs_gap(self, rng, n: int):
         """MC estimate of E|W* - W| = E|X*_I - X_I| with its standard error."""
         _, _, gap = self.joint_sample(rng, n)
-        return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(n))
+        return mean_se(gap)
+
+
+def _pick(laws, k, u):
+    """At each draw, the quantile at u of the law laws[k]."""
+    out = np.empty(len(u))
+    for j, law in enumerate(laws):
+        at = k == j
+        out[at] = law.quantile(u[at])
+    return out
 
 
 def zero_bias_sum(parts) -> SumZeroBiasCoupling:

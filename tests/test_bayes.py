@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,21 @@ def test_missing_field_is_named(pair, prior, summary):
             continue
         with pytest.raises(InvalidSummary, match=f"missing field '{key}'"):
             update(pair, *args)
+
+
+@pytest.mark.parametrize("pair, prior, summary", CONJUGATE_SETTINGS,
+                         ids=[row[0] for row in CONJUGATE_SETTINGS])
+def test_non_finite_field_is_named(pair, prior, summary):
+    # n = nan once raised a bare ValueError from int(nan), and alpha = nan
+    # or inf one from an empty interval, which the CLI ended in a traceback
+    for key in [*prior, *summary]:
+        if (pair, key) == ("gaussian-var", "mu"):
+            continue  # the known mean is summarize's alone
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = {**prior, **summary, key: bad}
+            with pytest.raises(InvalidSummary, match=f"^{key} must be"):
+                update(pair, {k: fields[k] for k in prior},
+                       {k: fields[k] for k in summary})
 
 
 def test_pareto_sign_note_attached():

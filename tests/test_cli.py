@@ -272,6 +272,26 @@ def test_posterior_invalid_summary():
                      "--beta", "1", "--n", "5", "--x", "7", "--g", "x"]) == 2
 
 
+@pytest.mark.parametrize("field, value", [("n", "nan"), ("alpha", "nan"),
+                                          ("alpha", "inf")])
+def test_posterior_non_finite_field_is_a_usage_error(field, value, capsys):
+    # each once ended in a ValueError traceback, exit 1
+    fields = {"alpha": "2", "beta": "1", "n": "3", "sum": "3", field: value}
+    argv = ["posterior", "--pair", "poisson-gamma", "--g", "x"]
+    for key, text in fields.items():
+        argv += [f"--{key}", text]
+    assert cli.main(argv + ["--n-mc", "1000"]) == cli.EXIT_USAGE
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_kernel_non_finite_point_is_a_usage_error(x, capsys):
+    # --x nan once reached the report and exited 4
+    assert cli.main(["kernel", "--dist", "normal:0,1", "--route", "pearson",
+                     "--x", "0.5", x]) == cli.EXIT_USAGE
+    assert "is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pair, prior, summary", CONJUGATE_SETTINGS,
                          ids=[row[0] for row in CONJUGATE_SETTINGS])
 def test_every_pair_field_is_a_posterior_flag(tmp_path, pair, prior, summary):
